@@ -41,7 +41,6 @@ from .posets import (
     elements_from_mask,
     interval_members,
     intervals_disjoint,
-    level_counts,
     mask_from_elements,
     poset_from_json_dict,
     poset_qdepth,

@@ -138,7 +138,7 @@ def cmd_eq_bound(args, out) -> None:
 
 
 def cmd_realize(args, out) -> None:
-    result = posets.realize(_load_sequence(args), layout=args.layout)
+    result = posets.realize(_load_sequence(args))
     obj = result.to_json_dict()
     if args.poset_out:
         with open(args.poset_out, "w", encoding="utf-8") as fh:
@@ -274,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("realize", help="realize a sequence as family level counts")
     add_seq(p)
-    p.add_argument("--layout", choices=["blocks", "overlapping"], default="blocks")
     p.add_argument("--poset-out", help="also write the family JSON to this path")
     p.add_argument("--partition-out", help="also write the partition JSON to this path")
     add_format(p)

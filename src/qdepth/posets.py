@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping, Sequence as SequenceABC
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 from . import engine
 from .errors import DomainError, SchemaError
@@ -110,10 +110,6 @@ class Poset:
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "sets": [list(elements_from_mask(m)) for m in self.sorted_masks()]}
-
-
-def level_counts(poset: Poset) -> dict:
-    return poset.level_counts()
 
 
 def poset_qdepth(poset: Poset) -> engine.QDepthResult:
@@ -341,7 +337,7 @@ class RealizationResult:
         }
 
 
-def _block_intervals(d: int, b: SequenceABC) -> tuple[list[Interval], int]:
+def _block_intervals(d: int, b: SequenceABC) -> list[Interval]:
     """One fresh block of d elements per interval; bottoms are block prefixes."""
     intervals = []
     base = 0
@@ -351,100 +347,78 @@ def _block_intervals(d: int, b: SequenceABC) -> tuple[list[Interval], int]:
             bottom = ((1 << j) - 1) << base
             intervals.append((bottom, top))
             base += d
-    return intervals, base
+    return intervals
 
 
-def _run_mask(first: int, length: int) -> int:
-    return ((1 << length) - 1) << (first - 1)
+def _pool_holds(counts: Mapping[int, int], size: int) -> bool:
+    """Whether size elements have counts[k] distinct k-sets for every level k."""
+    return all(math.comb(size, k) >= c for k, c in counts.items())
 
 
-def _overlapping_intervals(d: int, b: SequenceABC) -> tuple[list[Interval], int]:
-    """Compact layout that reuses ground elements between consecutive intervals.
+def _pool_size(counts: Mapping[int, int], room: int) -> int:
+    """Smallest pool of fresh elements for the one-set intervals of counts.
 
-    Group i (0-based) holds b[i] intervals with bottoms of size i + 1 and
-    tops of size d, laid out from start positions that advance by
-    d - i - 1.  This layout is not guaranteed to produce disjoint
-    intervals; callers must check the validation verdict.
+    The search stops once the pool outgrows room, so the size returned
+    is exact only when it fits.
     """
-    intervals = []
-    top_end = 0
-    for i in range(d):
-        prefix = sum(b[t - 1] * (d - t) for t in range(1, i + 1))
-        for j in range(1, b[i] + 1):
-            start = prefix + (j - 1) * (d - i - 1) + 1
-            intervals.append((_run_mask(start, i + 1), _run_mask(start, d)))
-            top_end = max(top_end, start + d - 1)
-    return intervals, top_end
+    size = max((k for k, c in counts.items() if c), default=0)
+    while size <= room and not _pool_holds(counts, size):
+        size += 1
+    return size
 
 
-def _fresh_level_singletons(counts: Mapping[int, int], base: int) -> tuple[list[Interval], int]:
-    """Distinct sets of prescribed sizes over a pool of fresh elements.
+def _fresh_level_singletons(counts: Mapping[int, int], base: int, pool_size: int) -> list[Interval]:
+    """Distinct sets of prescribed sizes over the pool_size elements after base.
 
-    Returns them as one-set intervals plus the pool size used.  A single
-    shared pool suffices because sets of different sizes never coincide.
+    They come back as one-set intervals.  A single shared pool suffices
+    because sets of different sizes never coincide.
     """
-    wanted = {k: c for k, c in counts.items() if c}
-    if not wanted:
-        return [], 0
-    pool_size = max(wanted)
-    while any(math.comb(pool_size, k) < c for k, c in wanted.items()):
-        pool_size += 1
     pool = range(base + 1, base + pool_size + 1)
     intervals = []
-    for k in sorted(wanted):
-        taken = 0
-        for combo in combinations(pool, k):
+    for k in sorted(counts):
+        for combo in islice(combinations(pool, k), counts[k]):
             mask = 0
             for e in combo:
                 mask |= 1 << (e - 1)
             intervals.append((mask, mask))
-            taken += 1
-            if taken == wanted[k]:
-                break
-    return intervals, pool_size
+    return intervals
 
 
-def realize(h: Sequence, layout: str = "blocks") -> RealizationResult:
+def realize(h: Sequence) -> RealizationResult:
     """Build a family whose level counts match h after shifting, with a
     partition whose depth equals the family depth.
 
     The input is shifted by m = k0 - 1 so the window starts at level 1.
     Levels 1..d are covered by intervals with tops of size d, b[j] of them
-    with bottoms of size j; for finitely supported input, every level above
-    d is filled with one-set intervals over fresh elements, so the whole
-    support is realized.  The default block layout is disjoint by
-    construction and its postconditions are enforced; the overlapping
-    layout only reports its validation verdict.
+    with bottoms of size j, each on its own block of d fresh elements; for
+    finitely supported input, every level above d is filled with one-set
+    intervals over a shared pool of fresh elements, so the whole support is
+    realized.  The ground size is known before any set is built, and inputs
+    needing more than MAX_GROUND_SIZE elements are rejected up front.  The
+    intervals are disjoint by construction; the postconditions are checked.
     """
-    if layout not in ("blocks", "overlapping"):
-        raise ValueError(f"unknown layout {layout!r}")
-    st = h.stats()
-    m = st.k0 - 1
+    m = h.stats().k0 - 1
     g = h.shifted(m)
     result = engine.qdepth(g)
     d = result.qdepth
     b = tuple(result.accepted_table.entries[j] for j in range(1, d + 1))
 
-    if layout == "blocks":
-        intervals, used = _block_intervals(d, b)
-    else:
-        intervals, used = _overlapping_intervals(d, b)
-
-    gst = g.stats()
     window_counts = {j: g.value_at(j) for j in range(1, d + 1)}
     if isinstance(g, FiniteSequence):
         upper_counts = {j: g.value_at(j) for j in range(d + 1, g.support_end + 1)}
         window_counts.update(upper_counts)
     else:
         upper_counts = {}
-    singles, pool_size = _fresh_level_singletons(upper_counts, used)
+    used = d * sum(b)
+    pool_size = _pool_size(upper_counts, MAX_GROUND_SIZE - used)
     ground_size = used + pool_size
     if ground_size > MAX_GROUND_SIZE:
+        need = ground_size if _pool_holds(upper_counts, pool_size) else f"more than {MAX_GROUND_SIZE}"
         raise DomainError(
-            f"realization needs {ground_size} ground elements, beyond the {MAX_GROUND_SIZE} cap"
+            f"realization needs {need} ground elements, beyond the {MAX_GROUND_SIZE} cap"
         )
 
-    all_intervals = intervals + singles
+    all_intervals = _block_intervals(d, b) + _fresh_level_singletons(upper_counts, used, pool_size)
     members = set()
     for c, dd in all_intervals:
         members.update(interval_members(c, dd))
@@ -452,15 +426,14 @@ def realize(h: Sequence, layout: str = "blocks") -> RealizationResult:
     partition = IntervalPartition(poset, all_intervals)
     report = validate_partition(partition)
 
-    if layout == "blocks":
-        if not report.ok:
-            raise AssertionError(f"block realization failed validation: {report.reason}")
-        if poset.level_counts() != {k: v for k, v in window_counts.items() if v}:
-            raise AssertionError("block realization does not reproduce the level counts")
-        if partition.sdepth != d:
-            raise AssertionError("block realization partition depth differs from the sequence depth")
-        if poset_qdepth(poset).qdepth != d:
-            raise AssertionError("block realization family depth differs from the sequence depth")
+    if not report.ok:
+        raise AssertionError(f"realization failed validation: {report.reason}")
+    if poset.level_counts() != {k: v for k, v in window_counts.items() if v}:
+        raise AssertionError("realization does not reproduce the level counts")
+    if partition.sdepth != d:
+        raise AssertionError("realization partition depth differs from the sequence depth")
+    if poset_qdepth(poset).qdepth != d:
+        raise AssertionError("realization family depth differs from the sequence depth")
 
     return RealizationResult(m, d, ground_size, b, poset, partition, report)
 

@@ -12,7 +12,7 @@ All arithmetic is on Python ints, so nothing overflows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .errors import DomainError, SchemaError
@@ -46,18 +46,19 @@ class SequenceStats:
 
 
 class Sequence:
-    """Base class for all sequence kinds."""
+    """Base class for all sequence kinds.
+
+    Subclasses are frozen dataclasses that validate in __post_init__ and
+    compute their support stats there once.
+    """
 
     __slots__ = ()
 
     def value_at(self, j: int) -> int:
         raise NotImplementedError
 
-    def __call__(self, j: int) -> int:
-        return self.value_at(j)
-
     def stats(self) -> SequenceStats:
-        raise NotImplementedError
+        return self._stats
 
     def shifted(self, m: int) -> "Sequence":
         """The sequence j -> self(m + j)."""
@@ -95,6 +96,7 @@ def _positive_int(v: int, what: str) -> int:
     return v
 
 
+@dataclass(frozen=True, slots=True)
 class FiniteSequence(Sequence):
     """Finitely supported sequence: values[i] = h(offset + i), zero elsewhere.
 
@@ -102,20 +104,23 @@ class FiniteSequence(Sequence):
     positive; equality is therefore structural.
     """
 
-    __slots__ = ("offset", "values", "_stats")
+    offset: int
+    values: tuple
+    _stats: SequenceStats = field(init=False, repr=False, compare=False)
 
-    def __init__(self, offset: int, values: Iterable[int]):
-        vals = _checked_values(values, "values")
+    def __post_init__(self):
+        vals = _checked_values(self.values, "values")
         if not any(vals):
             raise DomainError("sequence must not be identically zero")
         lo = next(i for i, v in enumerate(vals) if v)
         hi = next(i for i in range(len(vals) - 1, -1, -1) if vals[i])
-        object.__setattr__(self, "offset", offset + lo)
-        object.__setattr__(self, "values", tuple(vals[lo : hi + 1]))
-        object.__setattr__(self, "_stats", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteSequence is immutable")
+        vals = tuple(vals[lo : hi + 1])
+        k0 = self.offset + lo
+        kf = k0 + (vals.index(0) if 0 in vals else len(vals)) - 1
+        h1 = vals[1] if len(vals) > 1 else 0
+        object.__setattr__(self, "offset", k0)
+        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "_stats", SequenceStats(k0, kf, vals[0], h1, h1 // vals[0]))
 
     @property
     def support_end(self) -> int:
@@ -127,18 +132,6 @@ class FiniteSequence(Sequence):
             return self.values[i]
         return 0
 
-    def stats(self) -> SequenceStats:
-        if self._stats is None:
-            k0 = self.offset
-            h0 = self.values[0]
-            h1 = self.value_at(k0 + 1)
-            try:
-                kf = self.offset + self.values.index(0) - 1
-            except ValueError:
-                kf = self.support_end
-            object.__setattr__(self, "_stats", SequenceStats(k0, kf, h0, h1, h1 // h0))
-        return self._stats
-
     def shifted(self, m: int) -> "FiniteSequence":
         return FiniteSequence(self.offset - m, self.values)
 
@@ -146,30 +139,11 @@ class FiniteSequence(Sequence):
         _positive_int(c, "scale factor")
         return FiniteSequence(self.offset, [c * v for v in self.values])
 
-    def __add__(self, other):
-        if not isinstance(other, FiniteSequence):
-            return NotImplemented
-        lo = min(self.offset, other.offset)
-        hi = max(self.support_end, other.support_end)
-        return FiniteSequence(lo, [self.value_at(j) + other.value_at(j) for j in range(lo, hi + 1)])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FiniteSequence)
-            and self.offset == other.offset
-            and self.values == other.values
-        )
-
-    def __hash__(self):
-        return hash((FiniteSequence, self.offset, self.values))
-
-    def __repr__(self):
-        return f"FiniteSequence(offset={self.offset}, values={list(self.values)})"
-
     def to_json_dict(self) -> dict:
         return {"kind": "finite", "offset": self.offset, "values": list(self.values)}
 
 
+@dataclass(frozen=True, slots=True)
 class PolynomialSequence(Sequence):
     """Polynomial tail: P(j) for j >= 0 and zero for j < 0, then shifted.
 
@@ -178,22 +152,21 @@ class PolynomialSequence(Sequence):
     rewriting P(j + m), which would break the coefficient sign constraint.
     """
 
-    __slots__ = ("coeffs", "shift", "_stats")
+    coeffs: tuple
+    shift: int = 0
+    _stats: SequenceStats = field(init=False, repr=False, compare=False)
 
-    def __init__(self, coeffs: Iterable[int], shift: int = 0):
-        cs = _checked_values(coeffs, "coeffs")
+    def __post_init__(self):
+        cs = _checked_values(self.coeffs, "coeffs")
         if not cs:
             raise DomainError("coeffs must be nonempty")
         if cs[0] < 1:
             raise DomainError("constant coefficient must be positive")
         if cs[-1] < 1:
             raise DomainError("leading coefficient must be positive")
+        h1 = sum(cs)
         object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "shift", shift)
-        object.__setattr__(self, "_stats", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolynomialSequence is immutable")
+        object.__setattr__(self, "_stats", SequenceStats(-self.shift, None, cs[0], h1, h1 // cs[0]))
 
     @property
     def degree(self) -> int:
@@ -208,33 +181,12 @@ class PolynomialSequence(Sequence):
             acc = acc * t + a
         return acc
 
-    def stats(self) -> SequenceStats:
-        if self._stats is None:
-            h0 = self.coeffs[0]
-            h1 = sum(self.coeffs)
-            object.__setattr__(self, "_stats", SequenceStats(-self.shift, None, h0, h1, h1 // h0))
-        return self._stats
-
     def shifted(self, m: int) -> "PolynomialSequence":
         return PolynomialSequence(self.coeffs, self.shift + m)
 
     def scaled(self, c: int) -> "PolynomialSequence":
         _positive_int(c, "scale factor")
         return PolynomialSequence([c * a for a in self.coeffs], self.shift)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolynomialSequence)
-            and self.coeffs == other.coeffs
-            and self.shift == other.shift
-        )
-
-    def __hash__(self):
-        return hash((PolynomialSequence, self.coeffs, self.shift))
-
-    def __repr__(self):
-        tail = f", shift={self.shift}" if self.shift else ""
-        return f"PolynomialSequence(coeffs={list(self.coeffs)}{tail})"
 
     def to_json_dict(self) -> dict:
         out = {"kind": "polynomial", "coeffs": list(self.coeffs)}
@@ -243,19 +195,20 @@ class PolynomialSequence(Sequence):
         return out
 
 
+@dataclass(frozen=True, slots=True)
 class GeometricSequence(Sequence):
     """Geometric tail: scale * ratio**j for j >= 0 and zero for j < 0, then shifted."""
 
-    __slots__ = ("scale", "ratio", "shift", "_stats")
+    scale: int
+    ratio: int
+    shift: int = 0
+    _stats: SequenceStats = field(init=False, repr=False, compare=False)
 
-    def __init__(self, scale: int, ratio: int, shift: int = 0):
-        object.__setattr__(self, "scale", _positive_int(scale, "scale"))
-        object.__setattr__(self, "ratio", _positive_int(ratio, "ratio"))
-        object.__setattr__(self, "shift", shift)
-        object.__setattr__(self, "_stats", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GeometricSequence is immutable")
+    def __post_init__(self):
+        _positive_int(self.scale, "scale")
+        _positive_int(self.ratio, "ratio")
+        st = SequenceStats(-self.shift, None, self.scale, self.scale * self.ratio, self.ratio)
+        object.__setattr__(self, "_stats", st)
 
     def value_at(self, j: int) -> int:
         t = j + self.shift
@@ -263,33 +216,12 @@ class GeometricSequence(Sequence):
             return 0
         return self.scale * self.ratio**t
 
-    def stats(self) -> SequenceStats:
-        if self._stats is None:
-            st = SequenceStats(-self.shift, None, self.scale, self.scale * self.ratio, self.ratio)
-            object.__setattr__(self, "_stats", st)
-        return self._stats
-
     def shifted(self, m: int) -> "GeometricSequence":
         return GeometricSequence(self.scale, self.ratio, self.shift + m)
 
     def scaled(self, c: int) -> "GeometricSequence":
         _positive_int(c, "scale factor")
         return GeometricSequence(c * self.scale, self.ratio, self.shift)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GeometricSequence)
-            and self.scale == other.scale
-            and self.ratio == other.ratio
-            and self.shift == other.shift
-        )
-
-    def __hash__(self):
-        return hash((GeometricSequence, self.scale, self.ratio, self.shift))
-
-    def __repr__(self):
-        tail = f", shift={self.shift}" if self.shift else ""
-        return f"GeometricSequence(scale={self.scale}, ratio={self.ratio}{tail})"
 
     def to_json_dict(self) -> dict:
         out = {"kind": "geometric", "scale": self.scale, "ratio": self.ratio}
@@ -305,7 +237,9 @@ def add(g: Sequence, h: Sequence) -> FiniteSequence:
             "pointwise sum is defined for finitely supported sequences; "
             "use window() to materialize a tail first"
         )
-    return g + h
+    lo = min(g.offset, h.offset)
+    hi = max(g.support_end, h.support_end)
+    return FiniteSequence(lo, [g.value_at(j) + h.value_at(j) for j in range(lo, hi + 1)])
 
 
 @dataclass(frozen=True, eq=True)
@@ -373,29 +307,23 @@ def beta_rows(h: Sequence, up_to: int) -> Iterator[tuple[int, dict]]:
 
 
 def _first_negative(row: dict) -> int | None:
-    for k in sorted(row):
-        if row[k] < 0:
+    """Smallest k with a negative entry; rows are built in index order."""
+    for k, v in row.items():
+        if v < 0:
             return k
     return None
 
 
-def beta_table(h: Sequence, d: int, method: str = "direct") -> BetaTable:
+def beta_table(h: Sequence, d: int) -> BetaTable:
     """Full transform table at d, for d at or beyond the support start.
 
-    method selects between the direct signed sums and the first-difference
-    recurrence; the two agree exactly on every input.
+    The table is the last row of the first-difference recurrence.
     """
     st = h.stats()
     if d < st.k0:
         raise DomainError(f"table at d={d} lies below the support start {st.k0}")
-    if method == "direct":
-        entries = {k: beta(h, k, d) for k in range(st.k0, d + 1)}
-    elif method == "recurrence":
-        entries = None
-        for _, row in beta_rows(h, d):
-            entries = row
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    for _, entries in beta_rows(h, d):
+        pass
     return BetaTable(d, entries, _first_negative(entries))
 
 

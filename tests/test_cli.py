@@ -111,21 +111,6 @@ def test_sweep_to_file(capsys, tmp_path):
     assert lines[2] == "2,3,3,3,3,True"
 
 
-def test_realize_overlapping_layout_reports(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        "realize",
-        "--seq", '{"kind":"finite","offset":1,"values":[1,2]}',
-        "--layout", "overlapping",
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["valid"] is True
-    code, out, _ = run_cli(capsys, "realize", "--seq", WORKED_SEQ, "--layout", "overlapping")
-    assert code == 0
-    assert json.loads(out)["valid"] is False
-
-
 def test_realize_round_trip(capsys, tmp_path):
     poset_path = tmp_path / "poset.json"
     partition_path = tmp_path / "partition.json"

@@ -1,6 +1,7 @@
 """Families of subsets, interval partitions, search, and realization."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -296,13 +297,17 @@ def test_realize_respects_ground_cap():
         realize(FiniteSequence(1, [1, 50]))
 
 
-def test_realize_overlapping_layout_reports_verdict():
-    good = realize(FiniteSequence(1, [1, 2]), layout="overlapping")
-    assert good.validation.ok
-    assert good.partition.sdepth == good.depth
-    bad = realize(FiniteSequence(-2, [2, 4, 7, 3, 1]), layout="overlapping")
-    assert not bad.validation.ok
-    assert bad.validation.reason
+@pytest.mark.parametrize("values", [[1, 10**9], [1, 0, 10**9]], ids=["blocks", "singletons"])
+def test_realize_rejects_over_cap_before_allocating(values):
+    h = FiniteSequence(1, values)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="beyond the 63 cap"):
+            realize(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_poset_json_round_trip():

@@ -1,5 +1,7 @@
 """Sequence kinds, support stats, and the alternating binomial transform."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -149,9 +151,11 @@ def test_beta_table_paths_agree():
     for _ in range(150):
         h = random_sequence(rng)
         d = h.stats().k0 + rng.randint(0, 8)
-        direct = beta_table(h, d, method="direct")
-        recur = beta_table(h, d, method="recurrence")
-        assert direct == recur
+        table = beta_table(h, d)
+        vals = values_dict(h, h.stats().k0, d)
+        want = {k: oracle_beta(vals, k, d) for k in range(h.stats().k0, d + 1)}
+        assert table.entries == want
+        assert table.first_negative == next((k for k, v in want.items() if v < 0), None)
 
 
 def test_shift_examples():
@@ -278,3 +282,23 @@ def test_json_schema_violations():
     ]:
         with pytest.raises(SchemaError):
             sequence_from_json_dict(bad)
+
+
+def test_sequence_kinds_are_immutable_values():
+    pairs = [
+        (FiniteSequence(-2, [0, 2, 4, 7, 3, 1, 0]), FiniteSequence(-1, (2, 4, 7, 3, 1))),
+        (PolynomialSequence([1, 0, 0, 15], shift=2), PolynomialSequence((1, 0, 0, 15), 2)),
+        (GeometricSequence(3, 12, shift=-1), GeometricSequence(3, 12, -1)),
+    ]
+    for h, twin in pairs:
+        assert h == twin and h is not twin
+        assert hash(h) == hash(twin)
+        assert len({h, twin}) == 1
+        for clone in (pickle.loads(pickle.dumps(h)), copy.deepcopy(h), copy.copy(h)):
+            assert clone == h
+            assert clone.stats() == h.stats()
+            assert clone.to_json_dict() == h.to_json_dict()
+        for name in h.to_json_dict().keys() - {"kind"}:
+            with pytest.raises(AttributeError):
+                setattr(h, name, 0)
+    assert pairs[0][0] != pairs[1][0]
