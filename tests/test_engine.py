@@ -1,6 +1,8 @@
 """Depth computation, certificates, and the side conditions."""
 
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -14,12 +16,14 @@ from qdepth import (
     add,
     beta,
     depth_upper_bound,
+    monomial_plus_constant,
     necessary_condition_holds,
     qdepth,
     qdepth_at_least,
     qdepth_value,
     sufficient_condition_holds,
 )
+from qdepth import engine
 
 WORKED = FiniteSequence(-2, [2, 4, 7, 3, 1])
 
@@ -204,3 +208,92 @@ def test_diagonal_entry_positive_for_monomial_tails():
         ub = depth_upper_bound(h)
         for d in range(1, ub + 1):
             assert beta(h, d, d) > 0
+
+
+@pytest.fixture
+def row_counter(monkeypatch):
+    """Counts the calls to engine.beta_rows and the rows they yield."""
+    counts = {"calls": 0, "rows": 0}
+    original = engine.beta_rows
+
+    def counting(h, up_to):
+        counts["calls"] += 1
+        for item in original(h, up_to):
+            counts["rows"] += 1
+            yield item
+
+    monkeypatch.setattr(engine, "beta_rows", counting)
+    return counts
+
+
+def test_search_stops_at_first_negative_row(row_counter):
+    h = monomial_plus_constant(10**12, 1, 1)
+    result = qdepth(h)
+    assert result.qdepth == 3
+    assert result.upper_bound_used == 10**12 + 1
+    assert row_counter["rows"] <= result.qdepth - h.stats().k0 + 2
+
+
+def test_search_builds_rows_up_to_answer_plus_one(row_counter):
+    rng = random.Random(101)
+    for _ in range(150):
+        h = random_sequence(rng)
+        row_counter["rows"] = 0
+        result = qdepth(h)
+        top = min(result.qdepth + 1, result.upper_bound_used)
+        assert row_counter["rows"] == top - h.stats().k0 + 1
+
+
+def test_rejections_built_once_on_first_access(row_counter):
+    h = PolynomialSequence([1, 0, 0, 15])
+    result = qdepth(h)
+    assert row_counter["calls"] == 1
+    first = result.rejections
+    assert row_counter["calls"] == 2
+    assert result.rejections is first
+    assert row_counter["calls"] == 2
+    assert [r.d for r in first] == list(range(result.upper_bound_used, result.qdepth, -1))
+
+
+def test_rejections_empty_at_the_bound_without_a_scan(row_counter):
+    result = qdepth(GeometricSequence(2, 7))
+    assert result.qdepth == result.upper_bound_used == 7
+    assert result.rejections == ()
+    assert row_counter["calls"] == 1
+
+
+def test_rejections_over_budget_raise_before_building(row_counter):
+    h = PolynomialSequence([1, 10**6])
+    result = qdepth(h)
+    assert result.qdepth == 3
+    span = result.upper_bound_used - h.stats().k0
+    with pytest.raises(DomainError, match=f"need {(span + 1) * (span + 2) // 2} transform entries"):
+        result.rejections
+    assert row_counter["calls"] == 1
+    with pytest.raises(DomainError):
+        result.to_json_dict()
+
+
+def test_rejection_budget_counts_every_row_entry(monkeypatch):
+    # a*j + 1 has k0 = 0 and bound a + 1; the scan over rows 0..span holds
+    # (span + 1)(span + 2) / 2 entries, 21 at span 5 and 28 at span 6
+    monkeypatch.setattr(engine, "REJECTION_ENTRY_BUDGET", 21)
+    assert qdepth(monomial_plus_constant(4, 1, 1)).rejections == (engine.Rejection(5, 2, -1),)
+    with pytest.raises(DomainError, match="need 28 transform entries, over the budget of 21"):
+        qdepth(monomial_plus_constant(5, 1, 1)).rejections
+
+
+def test_result_value_semantics_do_not_force_rejections(row_counter):
+    h = PolynomialSequence([1, 0, 0, 15])
+    result = qdepth(h)
+    assert "rejections" not in repr(result)
+    assert repr(result).startswith("QDepthResult(qdepth=7, ")
+    assert result == qdepth(PolynomialSequence([1, 0, 0, 15]))
+    assert result != qdepth(h.scaled(2))
+    for twin in (pickle.loads(pickle.dumps(result)), copy.deepcopy(result)):
+        assert twin == result
+        assert twin.sequence == h
+    assert row_counter["calls"] == 3
+    twin = pickle.loads(pickle.dumps(result))
+    assert twin.rejections == result.rejections
+    assert row_counter["calls"] == 5
