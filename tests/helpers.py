@@ -2,8 +2,9 @@
 
 The oracles deliberately avoid the library code paths they check: binomial
 coefficients come from an additive Pascal triangle, transform values from
-a separate signed sum over explicit value dictionaries, and depth from a
-scan that extends past the a-priori search window.
+a separate signed sum over explicit value dictionaries, depth from a
+scan that extends past the a-priori search window, and partition verdicts
+from a pairwise overlap scan over explicitly listed interval members.
 """
 
 import random
@@ -42,6 +43,55 @@ def oracle_qdepth(h, scan_past: int = 5) -> int:
         if all(oracle_beta(vals, k, d) >= 0 for k in range(st.k0, d + 1)):
             best = d
     return best
+
+
+def _set_text(mask: int) -> str:
+    return "{" + ",".join(str(i + 1) for i in range(mask.bit_length()) if mask >> i & 1) + "}"
+
+
+def _members(bottom: int, top: int) -> list[int]:
+    """Sets between bottom and top, largest mask first."""
+    return [m for m in range(top, -1, -1) if m & bottom == bottom and m & ~top == 0]
+
+
+def oracle_partition_report(n: int, family, intervals) -> tuple:
+    """(ok, sdepth, reason) of a partition, clause by clause and pair by pair.
+
+    Clauses in order: bottoms under tops inside [1, n]; intervals no larger
+    than the family and inside it (the largest outside mask is named); no
+    two intervals sharing a member (the first pair in index order is
+    named); every member covered (the first missing one in the family's
+    iteration order is named); interval sizes adding up to the family size.
+    """
+    family = frozenset(family)
+    if not intervals:
+        return False, None, "no intervals given"
+    for c, d in intervals:
+        if c & ~d:
+            return False, None, f"bottom {_set_text(c)} is not contained in top {_set_text(d)}"
+        if d >> n:
+            return False, None, f"top {_set_text(d)} exceeds the ground set [1, {n}]"
+    for c, d in intervals:
+        span = 2 ** (bin(d).count("1") - bin(c).count("1"))
+        if span > len(family):
+            return (False, None, f"interval [{_set_text(c)},{_set_text(d)}] has {span} members "
+                    f"but the family has only {len(family)}")
+        for m in _members(c, d):
+            if m not in family:
+                return (False, None, f"interval [{_set_text(c)},{_set_text(d)}] contains "
+                        f"{_set_text(m)}, which is not in the family")
+    for i, (c1, d1) in enumerate(intervals):
+        for c2, d2 in intervals[i + 1:]:
+            if set(_members(c1, d1)) & set(_members(c2, d2)):
+                return (False, None, f"intervals [{_set_text(c1)},{_set_text(d1)}] and "
+                        f"[{_set_text(c2)},{_set_text(d2)}] overlap")
+    for m in family:
+        if not any(m in _members(c, d) for c, d in intervals):
+            return False, None, f"family member {_set_text(m)} is not covered"
+    total = sum(len(_members(c, d)) for c, d in intervals)
+    if total != len(family):
+        return False, None, f"interval sizes sum to {total} but the family has {len(family)} members"
+    return True, min(bin(d).count("1") for _, d in intervals), None
 
 
 def random_finite(rng: random.Random, max_window: int = 8, max_value: int = 20,

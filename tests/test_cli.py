@@ -2,6 +2,7 @@
 
 import io
 import json
+import sys
 
 import pytest
 
@@ -218,3 +219,30 @@ def test_closed_form_far_below_the_bound(capsys):
     payload = json.loads(out)
     assert payload["computed"] == 3
     assert payload["agree"] is True
+
+
+def test_beta_table_over_budget_exits_3(capsys):
+    seq = '{"kind":"polynomial","coeffs":[1,1]}'
+    code, out, err = run_cli(capsys, "beta-table", "--seq", seq, "--d", "1000000")
+    assert (code, out) == (3, "")
+    assert "over the budget of 2000000" in json.loads(err)["message"]
+
+
+def test_qdepth_search_past_the_span_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr("qdepth.engine.ENTRY_SPAN", 10)
+    seq = '{"kind":"geometric","scale":1,"ratio":1000000}'
+    code, out, err = run_cli(capsys, "qdepth", "--seq", seq)
+    assert (code, out) == (3, "")
+    assert json.loads(err)["message"].startswith("no negative row up to d=10,")
+
+
+@pytest.mark.parametrize("quote", ["", '"'])
+def test_integers_past_the_digit_limit_exit_2(capsys, quote):
+    limit = sys.get_int_max_str_digits()
+    seq = f'{{"kind":"geometric","scale":1,"ratio":{quote}{"9" * (limit + 1)}{quote}}}'
+    code, out, err = run_cli(capsys, "qdepth", "--seq", seq)
+    assert (code, out) == (2, "")
+    payload = json.loads(err)
+    assert payload["code"] == "schema"
+    assert str(limit) in payload["message"]
+    assert len(err) < 300

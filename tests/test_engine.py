@@ -23,7 +23,7 @@ from qdepth import (
     qdepth_value,
     sufficient_condition_holds,
 )
-from qdepth import engine
+from qdepth import engine, sequences
 
 WORKED = FiniteSequence(-2, [2, 4, 7, 3, 1])
 
@@ -277,7 +277,7 @@ def test_rejections_over_budget_raise_before_building(row_counter):
 def test_rejection_budget_counts_every_row_entry(monkeypatch):
     # a*j + 1 has k0 = 0 and bound a + 1; the scan over rows 0..span holds
     # (span + 1)(span + 2) / 2 entries, 21 at span 5 and 28 at span 6
-    monkeypatch.setattr(engine, "REJECTION_ENTRY_BUDGET", 21)
+    monkeypatch.setattr("qdepth.sequences.ENTRY_BUDGET", 21)
     assert qdepth(monomial_plus_constant(4, 1, 1)).rejections == (engine.Rejection(5, 2, -1),)
     with pytest.raises(DomainError, match="need 28 transform entries, over the budget of 21"):
         qdepth(monomial_plus_constant(5, 1, 1)).rejections
@@ -297,3 +297,28 @@ def test_result_value_semantics_do_not_force_rejections(row_counter):
     twin = pickle.loads(pickle.dumps(result))
     assert twin.rejections == result.rejections
     assert row_counter["calls"] == 5
+
+
+def test_search_span_is_the_largest_within_the_entry_budget():
+    span, budget = engine.ENTRY_SPAN, sequences.ENTRY_BUDGET
+    assert span == 1998
+    assert (span + 1) * (span + 2) // 2 <= budget < (span + 2) * (span + 3) // 2
+
+
+def test_search_builds_at_most_span_plus_one_rows(row_counter):
+    # binomial(3000, k) has depth 3000 = bound: no row up to the span is negative
+    h = FiniteSequence(0, [math.comb(3000, k) for k in range(3001)])
+    with pytest.raises(DomainError, match="no negative row up to d=1998, and the bound d=3000"):
+        qdepth(h)
+    assert row_counter == {"calls": 1, "rows": engine.ENTRY_SPAN + 1}
+
+
+def test_search_span_caps_only_unresolved_searches(monkeypatch, row_counter):
+    monkeypatch.setattr(engine, "ENTRY_SPAN", 10)
+    for shift in (-2, 0, 3):
+        assert qdepth_value(GeometricSequence(1, 10, shift)) == 10 - shift
+        row_counter["rows"] = 0
+        with pytest.raises(DomainError, match=f"up to d={10 - shift}, and the bound d={11 - shift}"):
+            qdepth(GeometricSequence(1, 11, shift))
+        assert row_counter["rows"] == 11
+    assert qdepth_value(PolynomialSequence([1, 10**6])) == 3

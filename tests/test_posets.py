@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from helpers import oracle_partition_report
 from qdepth import (
     DomainError,
     FiniteSequence,
@@ -151,6 +152,53 @@ def test_validate_partition_rejects_inverted_bounds():
     report = validate_partition(partition)
     assert not report.ok
     assert "not contained" in report.reason
+
+
+def _random_valid_partition(rng, family: list[int]) -> list:
+    """Greedy partition: each unassigned set grows to a random free top in the family."""
+    free = set(family)
+    intervals = []
+    for bottom in rng.sample(family, len(family)):
+        if bottom not in free:
+            continue
+        tops = [d for d in free if d & bottom == bottom
+                and all(m in free for m in interval_members(bottom, d))]
+        top = rng.choice(tops)
+        free.difference_update(interval_members(bottom, top))
+        intervals.append((bottom, top))
+    return intervals
+
+
+def _corrupt(rng, n: int, family: list[int], intervals: list) -> None:
+    """One random corruption: a duplicate, a dropped or an arbitrary interval."""
+    roll = rng.random()
+    if roll < 0.3:
+        intervals.insert(rng.randint(0, len(intervals)), rng.choice(intervals))
+    elif roll < 0.5 and len(intervals) > 1:
+        intervals.pop(rng.randrange(len(intervals)))
+    elif roll < 0.8:
+        c = rng.choice(family)
+        d = c | rng.choice(family) if rng.random() < 0.7 else c | rng.randrange(1 << n)
+        intervals.insert(rng.randint(0, len(intervals)), (c, d))
+    else:
+        intervals.insert(rng.randint(0, len(intervals)), (rng.randrange(1 << n), rng.randrange(2 << n)))
+
+
+def test_validate_partition_matches_pairwise_oracle():
+    rng = random.Random(151)
+    seen = set()
+    for _ in range(10_000):
+        n = rng.randint(1, 5)
+        family = rng.sample(range(1 << n), rng.randint(1, min(1 << n, 14)))
+        intervals = _random_valid_partition(rng, family)
+        for _ in range(rng.choice((0, 1, 1, 2, 3))):
+            _corrupt(rng, n, family, intervals)
+        poset = Poset(n, frozenset(family))
+        report = validate_partition(IntervalPartition(poset, tuple(intervals)))
+        expected = oracle_partition_report(n, poset.sets, intervals)
+        assert (report.ok, report.sdepth, report.reason) == expected, intervals
+        seen.add(expected[2].split()[0] if expected[2] else "valid")
+    assert {"valid", "bottom", "top", "interval", "intervals", "family"} <= seen
 
 
 def test_trivial_partition_is_valid():

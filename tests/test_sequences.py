@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import sys
 
 import pytest
 
@@ -146,6 +147,23 @@ def test_beta_table_below_support_is_an_error():
         list(beta_rows(WORKED, -3))
 
 
+def test_beta_table_refuses_over_budget_before_building(monkeypatch):
+    def no_rows(h, up_to):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr("qdepth.sequences.beta_rows", no_rows)
+    with pytest.raises(DomainError, match="up to d=1000000 need 500001500001 transform entries"):
+        beta_table(PolynomialSequence([1, 1]), 10**6)
+
+
+def test_beta_table_budget_counts_every_row_entry(monkeypatch):
+    monkeypatch.setattr("qdepth.sequences.ENTRY_BUDGET", 21)
+    h = WORKED.shifted(-3)
+    assert beta_table(h, 6).d == 6
+    with pytest.raises(DomainError, match="need 28 transform entries, over the budget of 21"):
+        beta_table(h, 7)
+
+
 def test_beta_table_paths_agree():
     rng = random.Random(23)
     for _ in range(150):
@@ -282,6 +300,19 @@ def test_json_schema_violations():
     ]:
         with pytest.raises(SchemaError):
             sequence_from_json_dict(bad)
+
+
+def test_json_decimal_strings_past_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    for obj in (
+        {"kind": "geometric", "scale": 1, "ratio": "7" * (limit + 1)},
+        {"kind": "finite", "offset": 0, "values": ["1" * (limit + 1)]},
+    ):
+        with pytest.raises(SchemaError, match=f"longer than the {limit}-digit limit") as info:
+            sequence_from_json_dict(obj)
+        assert len(str(info.value)) < 100
+    with pytest.raises(SchemaError, match="not a decimal integer string"):
+        sequence_from_json_dict({"kind": "geometric", "scale": 1, "ratio": "7x"})
 
 
 def test_sequence_kinds_are_immutable_values():
