@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -35,7 +34,7 @@ def load_json_arg(raw: str, what: str):
         try:
             with open(raw, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise SchemaError(f"{what}: cannot read {raw!r}: {e}") from None
     try:
         return json.loads(text)
@@ -164,21 +163,9 @@ def cmd_verify_partition(args, out) -> None:
     _emit(report.to_json_dict(), args, out, lines)
 
 
-def _bruteforce_cap(args) -> int:
-    if args.cap is not None:
-        return args.cap
-    env = os.environ.get("QDEPTH_BRUTEFORCE_CAP")
-    if env is not None:
-        try:
-            return int(env, 10)
-        except ValueError:
-            raise SchemaError(f"QDEPTH_BRUTEFORCE_CAP: not an integer: {env!r}") from None
-    return posets.DEFAULT_BRUTEFORCE_CAP
-
-
 def cmd_sdepth(args, out) -> None:
     poset = posets.poset_from_json_dict(load_json_arg(args.poset, "poset"))
-    result = posets.sdepth_bruteforce(poset, cap=_bruteforce_cap(args))
+    result = posets.sdepth_bruteforce(poset, cap=args.cap)
     obj = {"sdepth": result.sdepth, "partition": result.partition.to_json_dict()}
     lines = [f"sdepth  {result.sdepth}"]
     for c, d in result.partition.intervals:
@@ -277,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sdepth", help="exhaustive best-partition depth on a small family")
     p.add_argument("--poset", required=True, help="poset JSON, a file path, or - for stdin")
-    p.add_argument("--cap", type=int, default=None, help="family size cap (default 24, or QDEPTH_BRUTEFORCE_CAP)")
+    p.add_argument("--cap", type=int, default=posets.DEFAULT_BRUTEFORCE_CAP, help="family size cap (default %(default)s)")
     add_format(p)
     p.set_defaults(handler=cmd_sdepth)
 

@@ -1,8 +1,8 @@
 """Closed-form depth values and bounds for structured tails.
 
-Covers geometric tails, the linear and quadratic families a*j^n + b for
-n = 1 and n = 2, the general piecewise upper bound for those families with
-its rational thresholds, and the 2^(n+1) cap for arbitrary polynomial
+Covers geometric tails, the general piecewise upper bound for the
+families a*j^n + b with its rational thresholds (for n = 1 and n = 2 the
+bound is the exact depth), and the 2^(n+1) cap for arbitrary polynomial
 tails.  Everything is exact: thresholds are Fractions and the one
 irrational boundary is compared by squaring, so pairs that sit exactly on
 a threshold are classified correctly.
@@ -10,7 +10,7 @@ a threshold are classified correctly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import DomainError
@@ -62,35 +62,17 @@ def geometric_qdepth(a: int, r: int) -> int:
 
 
 def arithmetic_qdepth(a: int, b: int) -> PiecewisePrediction:
-    """Exact depth of the linear tail a*j + b, as a function of alpha = a/b."""
+    """Exact depth of the linear tail a*j + b: eq_bound at n = 1, a proven equality."""
     if a < 1 or b < 1:
         raise DomainError("linear tail needs positive a and b")
-    alpha = Fraction(a, b)
-    if alpha < 1:
-        return PiecewisePrediction(1, "alpha in (0,1)", True)
-    if alpha < 2:
-        return PiecewisePrediction(2, "alpha in [1,2)", True)
-    if alpha < 3:
-        return PiecewisePrediction(3, "alpha in [2,3)", True)
-    if alpha <= 4:
-        return PiecewisePrediction(4, "alpha in [3,4]", True)
-    return PiecewisePrediction(3, "alpha in (4,inf)", True)
+    return replace(eq_bound(1, Fraction(a, b)), is_exact=True)
 
 
 def quadratic_qdepth(a: int, b: int) -> PiecewisePrediction:
-    """Exact depth of the quadratic tail a*j^2 + b, as a function of alpha = a/b."""
+    """Exact depth of the quadratic tail a*j^2 + b: eq_bound at n = 2, a proven equality."""
     if a < 1 or b < 1:
         raise DomainError("quadratic tail needs positive a and b")
-    alpha = Fraction(a, b)
-    if alpha < 7:
-        return PiecewisePrediction(int(alpha) + 1, "alpha in (0,7)", True)
-    if alpha <= Fraction(22, 3):
-        return PiecewisePrediction(8, "alpha in [7,22/3]", True)
-    if alpha <= 8:
-        return PiecewisePrediction(7, "alpha in (22/3,8]", True)
-    if alpha <= 11:
-        return PiecewisePrediction(6, "alpha in (8,11]", True)
-    return PiecewisePrediction(5, "alpha in (11,inf)", True)
+    return replace(eq_bound(2, Fraction(a, b)), is_exact=True)
 
 
 def lambda_threshold(n: int, m: int) -> Fraction:
@@ -148,17 +130,19 @@ def eq_bound(n: int, alpha) -> PiecewisePrediction:
     top = 2 ** (n + 1) - 1
     if alpha < top:
         return PiecewisePrediction(c, f"alpha in (0,{top})", exact)
-    prev = None
-    for i in range(1, 2**n):
-        lam = lambda_threshold(n, 2**n + 1 - i)
-        if alpha <= lam:
-            if i == 1:
-                branch = f"alpha in [{top},{lam}]"
-            else:
-                branch = f"alpha in ({prev},{lam}]"
-            return PiecewisePrediction(2 ** (n + 1) + 1 - i, branch, exact)
-        prev = lam
-    return PiecewisePrediction(2**n + 1, f"alpha in ({prev},inf)", exact)
+    # the thresholds grow strictly with i, so bisect for the first i in
+    # [1, 2^n) with alpha <= lam(i); i = 2^n means alpha lies past them all
+    lam = lambda i: lambda_threshold(n, 2**n + 1 - i)
+    lo, hi = 1, 2**n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if alpha <= lam(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    low = f"[{top}" if lo == 1 else f"({lam(lo - 1)}"
+    high = "inf)" if lo == 2**n else f"{lam(lo)}]"
+    return PiecewisePrediction(2 ** (n + 1) + 1 - lo, f"alpha in {low},{high}", exact)
 
 
 def polynomial_upper_bound(degree: int) -> int:

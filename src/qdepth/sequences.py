@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from dataclasses import MISSING, dataclass, field, fields
+from typing import ClassVar, Iterable, Iterator
 
 from .errors import DomainError, SchemaError
 
@@ -48,19 +48,18 @@ class SequenceStats:
     h1: int
     c: int
 
-    @property
-    def k1(self) -> int:
-        return self.k0 + 1
-
 
 class Sequence:
     """Base class for all sequence kinds.
 
     Subclasses are frozen dataclasses that validate in __post_init__ and
-    compute their support stats there once.
+    compute their support stats there once.  A subclass's kind name and its
+    init fields are its JSON schema: to_json_dict writes them and
+    sequence_from_json_dict reads them back.
     """
 
     __slots__ = ()
+    kind: ClassVar[str]
 
     def value_at(self, j: int) -> int:
         raise NotImplementedError
@@ -84,7 +83,13 @@ class Sequence:
         return FiniteSequence(k0, [self.value_at(j) for j in range(k0, hi + 1)])
 
     def to_json_dict(self) -> dict:
-        raise NotImplementedError
+        """The kind and every init field, leaving out those at their default."""
+        out = {"kind": self.kind}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.init and v != f.default:
+                out[f.name] = list(v) if isinstance(v, tuple) else v
+        return out
 
 
 def _checked_values(values: Iterable[int], what: str) -> list[int]:
@@ -112,6 +117,7 @@ class FiniteSequence(Sequence):
     positive; equality is therefore structural.
     """
 
+    kind = "finite"
     offset: int
     values: tuple
     _stats: SequenceStats = field(init=False, repr=False, compare=False)
@@ -147,9 +153,6 @@ class FiniteSequence(Sequence):
         _positive_int(c, "scale factor")
         return FiniteSequence(self.offset, [c * v for v in self.values])
 
-    def to_json_dict(self) -> dict:
-        return {"kind": "finite", "offset": self.offset, "values": list(self.values)}
-
 
 @dataclass(frozen=True, slots=True)
 class PolynomialSequence(Sequence):
@@ -160,6 +163,7 @@ class PolynomialSequence(Sequence):
     rewriting P(j + m), which would break the coefficient sign constraint.
     """
 
+    kind = "polynomial"
     coeffs: tuple
     shift: int = 0
     _stats: SequenceStats = field(init=False, repr=False, compare=False)
@@ -196,17 +200,12 @@ class PolynomialSequence(Sequence):
         _positive_int(c, "scale factor")
         return PolynomialSequence([c * a for a in self.coeffs], self.shift)
 
-    def to_json_dict(self) -> dict:
-        out = {"kind": "polynomial", "coeffs": list(self.coeffs)}
-        if self.shift:
-            out["shift"] = self.shift
-        return out
-
 
 @dataclass(frozen=True, slots=True)
 class GeometricSequence(Sequence):
     """Geometric tail: scale * ratio**j for j >= 0 and zero for j < 0, then shifted."""
 
+    kind = "geometric"
     scale: int
     ratio: int
     shift: int = 0
@@ -230,12 +229,6 @@ class GeometricSequence(Sequence):
     def scaled(self, c: int) -> "GeometricSequence":
         _positive_int(c, "scale factor")
         return GeometricSequence(c * self.scale, self.ratio, self.shift)
-
-    def to_json_dict(self) -> dict:
-        out = {"kind": "geometric", "scale": self.scale, "ratio": self.ratio}
-        if self.shift:
-            out["shift"] = self.shift
-        return out
 
 
 def add(g: Sequence, h: Sequence) -> FiniteSequence:
@@ -261,9 +254,6 @@ class BetaTable:
     d: int
     entries: dict
     first_negative: int | None
-
-    def is_nonnegative(self) -> bool:
-        return self.first_negative is None
 
     def to_json_dict(self) -> dict:
         return {
@@ -368,10 +358,9 @@ def _schema_int_list(v, where: str) -> list[int]:
     return [_schema_int(x, f"{where}[{i}]") for i, x in enumerate(v)]
 
 
-def _check_keys(obj: dict, allowed: set, where: str) -> None:
-    extra = set(obj) - allowed
-    if extra:
-        raise SchemaError(f"{where}: unknown keys {sorted(extra)}")
+_KINDS = {cls.kind: cls for cls in (FiniteSequence, PolynomialSequence, GeometricSequence)}
+# keyed by field annotation, a string because annotations are postponed
+_FIELD_PARSERS = {"int": _schema_int, "tuple": _schema_int_list}
 
 
 def sequence_from_json_dict(obj) -> Sequence:
@@ -386,32 +375,19 @@ def sequence_from_json_dict(obj) -> Sequence:
     if not isinstance(obj, dict):
         raise SchemaError("sequence: expected a JSON object")
     kind = obj.get("kind")
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise SchemaError(f"sequence: unknown kind {kind!r}")
+    where = f"{kind} sequence"
+    params = [f for f in fields(cls) if f.init]
+    extra = set(obj) - {"kind", *(f.name for f in params)}
+    if extra:
+        raise SchemaError(f"{where}: unknown keys {sorted(extra)}")
+    required = [f.name for f in params if f.default is MISSING]
+    if not all(name in obj for name in required):
+        raise SchemaError(f"{where}: requires {' and '.join(required)}")
+    args = {f.name: _FIELD_PARSERS[f.type](obj[f.name], f.name) for f in params if f.name in obj}
     try:
-        if kind == "finite":
-            _check_keys(obj, {"kind", "offset", "values"}, "finite sequence")
-            if "offset" not in obj or "values" not in obj:
-                raise SchemaError("finite sequence: requires offset and values")
-            return FiniteSequence(
-                _schema_int(obj["offset"], "offset"),
-                _schema_int_list(obj["values"], "values"),
-            )
-        if kind == "polynomial":
-            _check_keys(obj, {"kind", "coeffs", "shift"}, "polynomial sequence")
-            if "coeffs" not in obj:
-                raise SchemaError("polynomial sequence: requires coeffs")
-            return PolynomialSequence(
-                _schema_int_list(obj["coeffs"], "coeffs"),
-                _schema_int(obj.get("shift", 0), "shift"),
-            )
-        if kind == "geometric":
-            _check_keys(obj, {"kind", "scale", "ratio", "shift"}, "geometric sequence")
-            if "scale" not in obj or "ratio" not in obj:
-                raise SchemaError("geometric sequence: requires scale and ratio")
-            return GeometricSequence(
-                _schema_int(obj["scale"], "scale"),
-                _schema_int(obj["ratio"], "ratio"),
-                _schema_int(obj.get("shift", 0), "shift"),
-            )
+        return cls(**args)
     except DomainError as e:
         raise SchemaError(f"invalid sequence: {e}") from None
-    raise SchemaError(f"sequence: unknown kind {kind!r}")

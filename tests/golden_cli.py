@@ -100,6 +100,16 @@ CASES: list[dict] = [
     # later cases go last, so the test ids of the runs above keep their index
     {"argv": ["verify-partition", "--poset", CHAIN, "--partition", TWO_OVERLAPS]},
     {"argv": ["verify-partition", "--poset", CHAIN, "--partition", OVERLAP_THEN_OUTSIDE]},
+    *_both("closed-form", "--family", "arithmetic", "--a", "5", "--b", "2"),
+    *_both("closed-form", "--family", "quadratic", "--a", "3", "--b", "1"),
+    {"argv": ["eq-bound", "--n", "2", "--alpha", "11"]},
+    {"argv": ["eq-bound", "--n", "1", "--alpha", "3"]},
+    {"argv": ["eq-bound", "--n", "3", "--alpha", "1000"]},
+    {"argv": ["qdepth", "--seq", '{"kind":"polynomial"}']},
+    {"argv": ["qdepth", "--seq", '{"kind":"geometric","scale":1}']},
+    {"argv": ["qdepth", "--seq", '{"kind":"polynomial","coeffs":[1,1],"ratio":2}']},
+    {"argv": ["qdepth", "--seq", '{"kind":[1]}']},
+    {"argv": ["qdepth", "--seq", '{"kind":"geometric","scale":1,"ratio":2,"shift":"x"}']},
 ]
 
 

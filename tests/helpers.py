@@ -3,13 +3,16 @@
 The oracles deliberately avoid the library code paths they check: binomial
 coefficients come from an additive Pascal triangle, transform values from
 a separate signed sum over explicit value dictionaries, depth from a
-scan that extends past the a-priori search window, and partition verdicts
-from a pairwise overlap scan over explicitly listed interval members.
+scan that extends past the a-priori search window, partition verdicts
+from a pairwise overlap scan over explicitly listed interval members, the
+piecewise bound from a linear scan over every threshold, and the n = 1, 2
+closed forms from the paper's literal threshold tables.
 """
 
 import random
+from fractions import Fraction
 
-from qdepth import FiniteSequence, GeometricSequence, PolynomialSequence
+from qdepth import FiniteSequence, GeometricSequence, PolynomialSequence, lambda_threshold
 
 
 def pascal_binomial(m: int, t: int) -> int:
@@ -92,6 +95,30 @@ def oracle_partition_report(n: int, family, intervals) -> tuple:
     if total != len(family):
         return False, None, f"interval sizes sum to {total} but the family has {len(family)} members"
     return True, min(bin(d).count("1") for _, d in intervals), None
+
+
+def oracle_eq_bound(n: int, alpha: Fraction) -> tuple:
+    """(value, branch, exact) of the piecewise bound, trying the thresholds one by one."""
+    c = int(alpha) + 1
+    top = 2 ** (n + 1) - 1
+    if alpha < top:
+        return c, f"alpha in (0,{top})", c <= 4
+    prev = None
+    for i in range(1, 2**n):
+        lam = lambda_threshold(n, 2**n + 1 - i)
+        if alpha <= lam:
+            low = f"[{top}" if i == 1 else f"({prev}"
+            return 2 ** (n + 1) + 1 - i, f"alpha in {low},{lam}]", c <= 4
+        prev = lam
+    return 2**n + 1, f"alpha in ({prev},inf)", c <= 4
+
+
+def paper_closed_form(n: int, alpha: Fraction) -> int:
+    """Depth of a*j^n + b for n = 1, 2 with alpha = a/b, from the literal tables."""
+    if alpha < 2 ** (n + 1) - 1:
+        return int(alpha) + 1
+    steps = {1: [(4, 4)], 2: [(Fraction(22, 3), 8), (8, 7), (11, 6)]}[n]
+    return next((value for lam, value in steps if alpha <= lam), 2**n + 1)
 
 
 def random_finite(rng: random.Random, max_window: int = 8, max_value: int = 20,

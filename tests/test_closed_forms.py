@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_polynomial
+from helpers import oracle_eq_bound, paper_closed_form, random_polynomial
 from qdepth import (
     DomainError,
     GeometricSequence,
     arithmetic_qdepth,
+    closed_forms,
     compare_alpha1,
     eq_bound,
     geometric_qdepth,
@@ -36,6 +37,8 @@ def test_arithmetic_examples():
     assert arithmetic_qdepth(4, 1).value == 4
     assert arithmetic_qdepth(9, 2).value == 3
     assert all(arithmetic_qdepth(a, b).is_exact for a, b in [(1, 1), (9, 2)])
+    assert arithmetic_qdepth(5, 2).branch == "alpha in (0,3)"
+    assert arithmetic_qdepth(7, 2).branch == "alpha in [3,4]"
 
 
 def test_quadratic_examples():
@@ -106,15 +109,41 @@ def test_eq_bound_rejects_bad_input():
 def test_eq_bound_matches_quadratic_closed_form():
     for a in range(1, 31):
         for b in range(1, 31):
-            assert eq_bound(2, Fraction(a, b)).value == quadratic_qdepth(a, b).value
+            expected = paper_closed_form(2, Fraction(a, b))
+            assert eq_bound(2, Fraction(a, b)).value == quadratic_qdepth(a, b).value == expected
+            assert quadratic_qdepth(a, b).is_exact
 
 
 def test_eq_bound_matches_arithmetic_closed_form_up_to_four():
     for a in range(1, 31):
         for b in range(1, 31):
-            expected = arithmetic_qdepth(a, b).value
-            got = eq_bound(1, Fraction(a, b)).value
-            assert got == expected
+            expected = paper_closed_form(1, Fraction(a, b))
+            assert eq_bound(1, Fraction(a, b)).value == arithmetic_qdepth(a, b).value == expected
+            assert arithmetic_qdepth(a, b).is_exact
+
+
+def _alphas_around_thresholds(n: int) -> list:
+    eps = Fraction(1, 10**9)
+    points = [Fraction(2 ** (n + 1) - 1)] + [lambda_threshold(n, m) for m in range(2, 2**n + 1)]
+    grid = [Fraction(num, den) for num in range(1, 8 * 2**n) for den in (1, 2, 3, 7)]
+    return grid + [p + e for p in points for e in (-eps, 0, eps)]
+
+
+def test_eq_bound_bisection_matches_linear_scan():
+    for n in range(1, 7):
+        for alpha in _alphas_around_thresholds(n):
+            got = eq_bound(n, alpha)
+            assert (got.value, got.branch, got.is_exact) == oracle_eq_bound(n, alpha)
+
+
+def test_eq_bound_work_is_linear_in_n(monkeypatch):
+    calls = []
+    real = closed_forms.lambda_threshold
+    monkeypatch.setattr(closed_forms, "lambda_threshold", lambda n, m: calls.append(m) or real(n, m))
+    for alpha in (Fraction(2**41 - 1), 2**41 + 12345, 10**30):
+        calls.clear()
+        eq_bound(40, alpha)
+        assert 0 < len(calls) <= 2 * 40 + 2
 
 
 def test_compare_alpha1():

@@ -57,7 +57,6 @@ def test_evaluate_outside_support_is_zero():
 def test_stats_examples():
     st = WORKED.stats()
     assert (st.k0, st.kf, st.h0, st.h1, st.c) == (-2, 2, 2, 4, 2)
-    assert st.k1 == -1
     for a in range(1, 6):
         for r in range(1, 6):
             g = GeometricSequence(a, r).stats()
@@ -297,6 +296,10 @@ def test_json_schema_violations():
         {"kind": "polynomial", "coeffs": [0, 1]},
         {"kind": "geometric", "scale": 1},
         {"kind": "geometric", "scale": 1, "ratio": "x"},
+        {"kind": "geometric", "scale": 1, "ratio": 2, "shift": "x"},
+        {"kind": [1]},
+        {"kind": {"x": 1}},
+        {"kind": "polynomial"},
     ]:
         with pytest.raises(SchemaError):
             sequence_from_json_dict(bad)
