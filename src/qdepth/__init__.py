@@ -37,10 +37,8 @@ from .posets import (
     RealizationResult,
     SdepthResult,
     ValidationReport,
-    counting_identity_check,
     elements_from_mask,
     interval_members,
-    intervals_disjoint,
     mask_from_elements,
     poset_from_json_dict,
     poset_qdepth,

@@ -5,10 +5,10 @@ transform tables, closed-form predictions with an engine cross-check, the
 piecewise upper bound, realizations, partition validation, the exhaustive
 partition-depth search and grid sweeps to CSV.
 
-Exit codes: 0 success, 2 malformed input, 3 domain error, 1 internal
-failure.  Errors go to stderr as one JSON line with a "code" field.
-JSON output is deterministic: keys sorted, big integers as decimal
-strings.
+Exit codes: 0 success, 2 malformed input, 3 domain error (an answer with
+an integer past CPython's digit limit among them), 1 internal failure.
+Errors go to stderr as one JSON line with a "code" field.  JSON output is
+deterministic: keys sorted, big integers as decimal strings.
 """
 
 from __future__ import annotations
@@ -293,6 +293,12 @@ def main(argv=None) -> int:
         _error("domain", e)
         return 3
     except Exception as e:
+        if isinstance(e, ValueError) and "integer string conversion" in str(e):
+            # CPython refuses int -> str past its digit limit: the answer is too long to print
+            limit = sys.get_int_max_str_digits()
+            message = f"an output integer has more than {limit} digits, the integer string conversion limit"
+            _error("domain", DomainError(message))
+            return 3
         _error("internal", e)
         return 1
     return 0

@@ -16,7 +16,7 @@ from itertools import combinations, islice
 
 from . import engine
 from .errors import DomainError, SchemaError
-from .sequences import FiniteSequence, Sequence, binomial
+from .sequences import FiniteSequence, Sequence
 
 MAX_GROUND_SIZE = 63
 DEFAULT_BRUTEFORCE_CAP = 24
@@ -57,11 +57,6 @@ def interval_members(bottom: int, top: int) -> Iterable[int]:
     """All sets between bottom and top, inclusive."""
     for sub in _submasks(top & ~bottom):
         yield bottom | sub
-
-
-def intervals_disjoint(c1: int, d1: int, c2: int, d2: int) -> bool:
-    """Two intervals meet exactly when the union of bottoms fits under both tops."""
-    return (c1 | c2) & ~(d1 & d2) != 0
 
 
 @dataclass(frozen=True)
@@ -218,8 +213,11 @@ def sdepth_bruteforce(poset: Poset, cap: int = DEFAULT_BRUTEFORCE_CAP) -> Sdepth
 
     Works on the family sorted by size: the smallest unassigned set must be
     the bottom of its interval, so the search assigns it every admissible
-    top in turn.  A descending threshold on the top sizes bounds the search
-    and memoization on the mask of unassigned sets prunes repeats.
+    top in turn, largest first.  A descending threshold on the top sizes
+    bounds the search.  Each bottom's whole intervals inside the family are
+    listed once per family, the first time that bottom comes up, and serve
+    every threshold; only the masks of unassigned sets proven impossible to
+    cover are remembered, since a found cover ends the search.
     """
     masks = poset.sorted_masks()
     s = len(masks)
@@ -238,68 +236,55 @@ def sdepth_bruteforce(poset: Poset, cap: int = DEFAULT_BRUTEFORCE_CAP) -> Sdepth
     t_hi = min(max(sizes[j] for j in range(s) if sup[i] >> j & 1) for i in range(s))
     t_lo = sizes[0]
     full = (1 << s) - 1
+    # per bottom i: (top size, top j, members) of every whole interval [i, j], largest top first
+    whole: list[list | None] = [None] * s
+
+    def tops_of(i: int) -> list:
+        tops = []
+        for j in range(s):
+            members = sup[i] & sub[j]
+            if sup[i] >> j & 1 and members.bit_count() == 1 << (sizes[j] - sizes[i]):
+                tops.append((sizes[j], j, members))
+        tops.sort(key=lambda top: (-top[0], top[1]))
+        return tops
+
+    def cover(remaining: int) -> list | None:
+        # t, cand and dead belong to the threshold being tried
+        if remaining == 0:
+            return []
+        if remaining in dead:
+            return None
+        rem = remaining
+        while rem:
+            low = rem & -rem
+            if cand[low.bit_length() - 1] & remaining == 0:
+                dead.add(remaining)
+                return None
+            rem ^= low
+        i = (remaining & -remaining).bit_length() - 1
+        tops = whole[i]
+        if tops is None:
+            tops = whole[i] = tops_of(i)
+        for size, j, members in tops:
+            if size < t:
+                break
+            if members & remaining == members:
+                rest = cover(remaining ^ members)
+                if rest is not None:
+                    return [(i, j)] + rest
+        dead.add(remaining)
+        return None
 
     for t in range(t_hi, t_lo - 1, -1):
         sizemask = sum(1 << j for j in range(s) if sizes[j] >= t)
         cand = [sup[i] & sizemask for i in range(s)]
-        memo: dict[int, list | None] = {}
-
-        def cover(remaining: int) -> list | None:
-            if remaining == 0:
-                return []
-            hit = memo.get(remaining, False)
-            if hit is not False:
-                return hit
-            rem = remaining
-            while rem:
-                low = rem & -rem
-                if cand[low.bit_length() - 1] & remaining == 0:
-                    memo[remaining] = None
-                    return None
-                rem ^= low
-            i = (remaining & -remaining).bit_length() - 1
-            result = None
-            tops = sorted(
-                (j for j in range(s) if cand[i] >> j & 1 and remaining >> j & 1),
-                key=lambda j: (-sizes[j], j),
-            )
-            for j in tops:
-                avail = sup[i] & sub[j] & remaining
-                if avail.bit_count() != 1 << (sizes[j] - sizes[i]):
-                    continue
-                rest = cover(remaining & ~avail)
-                if rest is not None:
-                    result = [(i, j)] + rest
-                    break
-            memo[remaining] = result
-            return result
-
+        dead: set[int] = set()
         found = cover(full)
         if found is not None:
             intervals = tuple((masks[i], masks[j]) for i, j in found)
             return SdepthResult(t, IntervalPartition(poset, intervals))
 
     raise AssertionError("unreachable: singleton intervals always cover the family")
-
-
-def counting_identity_check(d: int, b, levels: Mapping[int, int]) -> bool:
-    """Check that bottoms-by-size counts b reproduce the given level counts.
-
-    b maps a bottom size j to a number of intervals with that bottom and a
-    top of size d (a plain sequence is read as sizes 1..d).  Level k then
-    receives binomial(d - j, k - j) sets from each of them; the check
-    compares that total with levels for every k up to d.
-    """
-    if isinstance(b, SequenceABC) and not isinstance(b, Mapping):
-        b_map = {j: count for j, count in enumerate(b, start=1)}
-    else:
-        b_map = dict(b)
-    lo = min(list(b_map) + [k for k, v in levels.items() if v])
-    for k in range(lo, d + 1):
-        expected = sum(count * binomial(d - j, k - j) for j, count in b_map.items())
-        if expected != levels.get(k, 0):
-            return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,8 @@ CUBIC = '{"kind":"polynomial","coeffs":[1,0,0,15]}'
 GEOMETRIC = '{"kind":"geometric","scale":3,"ratio":12,"shift":2}'
 FAMILY = '{"n":3,"sets":[[1],[2],[1,2],[1,3],[2,3],[1,2,3]]}'
 SIX = json.dumps({"n": 6, "sets": [[i, j] for i in range(1, 7) for j in range(i + 1, 7)]})
+FIVE_PAIRS_UP = json.dumps({"n": 5, "sets": [[e for e in range(1, 6) if m >> (e - 1) & 1]
+                                             for m in range(32) if m.bit_count() >= 2]})
 PARTITION = '{"intervals":[{"C":[1],"D":[1,2]},{"C":[2],"D":[2,3]},{"C":[1,3],"D":[1,2,3]}]}'
 UNCOVERED = '{"intervals":[{"C":[1],"D":[1,2]},{"C":[2],"D":[2,3]}]}'
 OVERLAP = '{"intervals":[{"C":[1],"D":[1,2]},{"C":[2],"D":[1,2]},{"C":[1,3],"D":[1,2,3]},{"C":[2,3],"D":[2,3]}]}'
@@ -110,6 +112,7 @@ CASES: list[dict] = [
     {"argv": ["qdepth", "--seq", '{"kind":"polynomial","coeffs":[1,1],"ratio":2}']},
     {"argv": ["qdepth", "--seq", '{"kind":[1]}']},
     {"argv": ["qdepth", "--seq", '{"kind":"geometric","scale":1,"ratio":2,"shift":"x"}']},
+    *_both("sdepth", "--poset", FIVE_PAIRS_UP, "--cap", "26"),
 ]
 
 

@@ -5,11 +5,16 @@ coefficients come from an additive Pascal triangle, transform values from
 a separate signed sum over explicit value dictionaries, depth from a
 scan that extends past the a-priori search window, partition verdicts
 from a pairwise overlap scan over explicitly listed interval members, the
-piecewise bound from a linear scan over every threshold, and the n = 1, 2
-closed forms from the paper's literal threshold tables.
+piecewise bound from a linear scan over every threshold, the n = 1, 2
+closed forms from the paper's literal threshold tables, and the best
+partition depth from a memoized search that rebuilds its candidate tops at
+every state.  The interval disjointness rule and the counting identity of
+bottoms-by-size counts against level counts live here too; only their
+tests use them.
 """
 
 import random
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
 from qdepth import FiniteSequence, GeometricSequence, PolynomialSequence, lambda_threshold
@@ -95,6 +100,123 @@ def oracle_partition_report(n: int, family, intervals) -> tuple:
     if total != len(family):
         return False, None, f"interval sizes sum to {total} but the family has {len(family)} members"
     return True, min(bin(d).count("1") for _, d in intervals), None
+
+
+def intervals_disjoint(c1: int, d1: int, c2: int, d2: int) -> bool:
+    """Two intervals meet exactly when the union of bottoms fits under both tops."""
+    return (c1 | c2) & ~(d1 & d2) != 0
+
+
+def counting_identity_check(d: int, b, levels: Mapping) -> bool:
+    """Check that bottoms-by-size counts b reproduce the given level counts.
+
+    b maps a bottom size j to a number of intervals with that bottom and a
+    top of size d (a plain sequence is read as sizes 1..d).  Level k then
+    receives binomial(d - j, k - j) sets from each of them; the check
+    compares that total with levels for every k up to d.
+    """
+    if isinstance(b, Sequence) and not isinstance(b, Mapping):
+        b_map = {j: count for j, count in enumerate(b, start=1)}
+    else:
+        b_map = dict(b)
+    lo = min(list(b_map) + [k for k, v in levels.items() if v])
+    for k in range(lo, d + 1):
+        expected = sum(count * pascal_binomial(d - j, k - j) for j, count in b_map.items())
+        if expected != levels.get(k, 0):
+            return False
+    return True
+
+
+def oracle_sdepth_search(sets) -> tuple:
+    """(sdepth, intervals) of a family, by the memoized threshold search.
+
+    The family is sorted by size, and the smallest unassigned set is the
+    bottom of its interval.  A descending threshold on the top sizes bounds
+    the search; each state recomputes its candidate tops, sorts them and
+    counts every interval's free members, and the memo keeps every state's
+    answer, feasible or not.
+    """
+    masks = sorted(sets, key=lambda m: (m.bit_count(), m))
+    s = len(masks)
+    sizes = [m.bit_count() for m in masks]
+
+    sup = [0] * s
+    sub = [0] * s
+    for i, a in enumerate(masks):
+        for j, b in enumerate(masks):
+            if a & ~b == 0:
+                sup[i] |= 1 << j
+                sub[j] |= 1 << i
+
+    t_hi = min(max(sizes[j] for j in range(s) if sup[i] >> j & 1) for i in range(s))
+    t_lo = sizes[0]
+    full = (1 << s) - 1
+
+    for t in range(t_hi, t_lo - 1, -1):
+        sizemask = sum(1 << j for j in range(s) if sizes[j] >= t)
+        cand = [sup[i] & sizemask for i in range(s)]
+        memo: dict = {}
+
+        def cover(remaining: int):
+            if remaining == 0:
+                return []
+            hit = memo.get(remaining, False)
+            if hit is not False:
+                return hit
+            rem = remaining
+            while rem:
+                low = rem & -rem
+                if cand[low.bit_length() - 1] & remaining == 0:
+                    memo[remaining] = None
+                    return None
+                rem ^= low
+            i = (remaining & -remaining).bit_length() - 1
+            result = None
+            tops = sorted(
+                (j for j in range(s) if cand[i] >> j & 1 and remaining >> j & 1),
+                key=lambda j: (-sizes[j], j),
+            )
+            for j in tops:
+                avail = sup[i] & sub[j] & remaining
+                if avail.bit_count() != 1 << (sizes[j] - sizes[i]):
+                    continue
+                rest = cover(remaining & ~avail)
+                if rest is not None:
+                    result = [(i, j)] + rest
+                    break
+            memo[remaining] = result
+            return result
+
+        found = cover(full)
+        if found is not None:
+            return t, tuple((masks[i], masks[j]) for i, j in found)
+
+    raise AssertionError("unreachable: singleton intervals always cover the family")
+
+
+def plain_sdepth(sets) -> int:
+    """Best partition depth over every interval partition, enumerated in full.
+
+    The lowest unassigned mask goes, in turn, into every interval of free
+    sets that contains it; no threshold, no ordering argument and no memo.
+    """
+    def best(free: frozenset) -> int:
+        if not free:
+            return 1 << 30
+        m = min(free)
+        result = -1
+        for c in free:
+            if c & ~m:
+                continue
+            for d in free:
+                if m & ~d:
+                    continue
+                members = set(_members(c, d))
+                if members <= free:
+                    result = max(result, min(bin(d).count("1"), best(free - members)))
+        return result
+
+    return best(frozenset(sets))
 
 
 def oracle_eq_bound(n: int, alpha: Fraction) -> tuple:

@@ -228,6 +228,21 @@ def test_qdepth_search_past_the_span_exits_3(capsys, monkeypatch):
     assert json.loads(err)["message"].startswith("no negative row up to d=10,")
 
 
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_output_past_the_digit_limit_exits_3(capsys, fmt):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)  # the smallest allowed, so ratio 300 is past it
+    try:
+        seq = '{"kind":"geometric","scale":1,"ratio":300}'
+        code, out, err = run_cli(capsys, "qdepth", "--seq", seq, "--format", fmt)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out) == (3, "")
+    payload = json.loads(err)
+    assert payload["code"] == "domain"
+    assert "more than 640 digits" in payload["message"]
+
+
 @pytest.mark.parametrize("quote", ["", '"'])
 def test_integers_past_the_digit_limit_exit_2(capsys, quote):
     limit = sys.get_int_max_str_digits()

@@ -5,7 +5,13 @@ import tracemalloc
 
 import pytest
 
-from helpers import oracle_partition_report
+from helpers import (
+    counting_identity_check,
+    intervals_disjoint,
+    oracle_partition_report,
+    oracle_sdepth_search,
+    plain_sdepth,
+)
 from qdepth import (
     DomainError,
     FiniteSequence,
@@ -14,9 +20,7 @@ from qdepth import (
     Poset,
     SchemaError,
     binomial,
-    counting_identity_check,
     interval_members,
-    intervals_disjoint,
     mask_from_elements,
     partition_from_json_dict,
     poset_from_json_dict,
@@ -246,6 +250,25 @@ def test_sdepth_never_exceeds_poset_depth():
     for _ in range(120):
         poset = random_poset(rng)
         assert sdepth_bruteforce(poset).sdepth <= poset_qdepth(poset).qdepth
+
+
+def _families(rng, n: int, count: int):
+    for _ in range(count):
+        sets = [m for m in range(1 << n) if rng.random() < 0.5]
+        yield n, sets or [rng.randrange(1 << n)]
+
+
+def test_sdepth_bruteforce_matches_memo_oracle():
+    rng = random.Random(157)
+    every_over_3 = [(3, [m for m in range(8) if f >> m & 1]) for f in range(1, 256)]
+    hard = [(6, [m for m in range(64) if m.bit_count() >= k]) for k in (1, 2, 3)]
+    for n, sets in [*every_over_3, *_families(rng, 4, 2000), *_families(rng, 5, 150), *hard]:
+        result = sdepth_bruteforce(Poset(n, frozenset(sets)), cap=len(sets))
+        assert (result.sdepth, result.partition.intervals) == oracle_sdepth_search(sets), sets
+        if n == 3:
+            assert result.sdepth == plain_sdepth(sets), sets
+        if n == 6:
+            assert result.sdepth == 3
 
 
 def test_counting_identity_examples():
