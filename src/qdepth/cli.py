@@ -44,8 +44,7 @@ def load_json_arg(raw: str, what: str):
 
 def _load_sequence(args) -> Sequence:
     h = sequence_from_json_dict(load_json_arg(args.seq, "sequence"))
-    shift = getattr(args, "shift", 0) or 0
-    return h.shifted(shift) if shift else h
+    return h.shifted(args.shift) if args.shift else h
 
 
 def _emit_json(obj, out) -> None:
@@ -83,36 +82,35 @@ def cmd_beta_table(args, out) -> None:
     _emit(table.to_json_dict(), args, out, lines)
 
 
-# family name -> (closed-form prediction, sequence), both functions of (a, b)
+# family name -> (closed-form prediction, sequence, alpha), each a function of (a, b)
 _FAMILIES = {
     "geometric": (
         lambda a, b: closed_forms.PiecewisePrediction(closed_forms.geometric_qdepth(a, b), "ratio", True),
-        GeometricSequence,
+        GeometricSequence, lambda a, b: b,
     ),
-    "arithmetic": (closed_forms.arithmetic_qdepth, lambda a, b: closed_forms.monomial_plus_constant(a, b, 1)),
-    "quadratic": (closed_forms.quadratic_qdepth, lambda a, b: closed_forms.monomial_plus_constant(a, b, 2)),
+    "arithmetic": (closed_forms.arithmetic_qdepth, lambda a, b: closed_forms.monomial_plus_constant(a, b, 1), Fraction),
+    "quadratic": (closed_forms.quadratic_qdepth, lambda a, b: closed_forms.monomial_plus_constant(a, b, 2), Fraction),
 }
 
 
-def cmd_closed_form(args, out) -> None:
-    predict, sequence = _FAMILIES[args.family]
-    prediction = predict(args.a, args.b)
-    computed = engine.qdepth_value(sequence(args.a, args.b))
-    obj = {
-        "family": args.family,
-        "a": args.a,
-        "b": args.b,
-        "predicted": prediction.value,
-        "computed": computed,
-        "agree": prediction.value == computed,
-        "branch": prediction.branch,
-        "exact": prediction.is_exact,
+def _family_check(family: str, a: int, b: int) -> dict:
+    """The closed-form prediction for one family member against the engine's depth."""
+    predict, sequence, _ = _FAMILIES[family]
+    prediction = predict(a, b)
+    computed = engine.qdepth_value(sequence(a, b))
+    return {
+        "family": family, "a": a, "b": b, "predicted": prediction.value, "computed": computed,
+        "agree": prediction.value == computed, "branch": prediction.branch, "exact": prediction.is_exact,
     }
+
+
+def cmd_closed_form(args, out) -> None:
+    obj = _family_check(args.family, args.a, args.b)
     lines = [
         f"family    {args.family} (a={args.a}, b={args.b})",
-        f"predicted {prediction.value}  [{prediction.branch}]",
-        f"computed  {computed}",
-        f"agree     {prediction.value == computed}",
+        f"predicted {obj['predicted']}  [{obj['branch']}]",
+        f"computed  {obj['computed']}",
+        f"agree     {obj['agree']}",
     ]
     _emit(obj, args, out, lines)
 
@@ -191,16 +189,12 @@ def _parse_range(raw: str, what: str) -> range:
 def cmd_sweep(args, out) -> None:
     a_range = _parse_range(args.a_range, "a-range")
     b_range = _parse_range(args.b_range, "b-range")
-    predict, sequence = _FAMILIES[args.family]
+    alpha = _FAMILIES[args.family][2]
     rows = []
     for a in a_range:
         for b in b_range:
-            prediction = predict(a, b)
-            computed = engine.qdepth_value(sequence(a, b))
-            alpha = b if args.family == "geometric" else Fraction(a, b)
-            rows.append(
-                [a, b, str(alpha), prediction.value, computed, prediction.value == computed]
-            )
+            c = _family_check(args.family, a, b)
+            rows.append([a, b, str(alpha(a, b)), c["predicted"], c["computed"], c["agree"]])
     sink = open(args.out, "w", encoding="utf-8", newline="") if args.out else out
     try:
         writer = csv.writer(sink, lineterminator="\n")

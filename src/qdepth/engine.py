@@ -19,9 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DomainError
-from .sequences import (
-    ENTRY_SPAN, BetaTable, Sequence, beta, beta_rows, binomial, check_entry_budget, _first_negative,
-)
+from .sequences import ENTRY_SPAN, BetaTable, Sequence, beta, beta_rows, binomial, _first_negative
 
 
 @dataclass(frozen=True)
@@ -67,7 +65,6 @@ class QDepthResult:
         q, ub = self.qdepth, self.upper_bound_used
         if q == ub:
             return ()
-        check_entry_budget(self.sequence.stats().k0, ub, "rejection certificates")
         found = []
         for d, row in beta_rows(self.sequence, ub):
             if d > q:
@@ -123,14 +120,18 @@ def qdepth_value(h: Sequence) -> int:
 
 
 def qdepth_at_least(h: Sequence, d: int) -> DepthCheck:
-    """Test one candidate depth directly, stopping at the first negative entry."""
+    """Test one candidate depth by direct sums, up to the first negative entry or the
+    search's span k0 + ENTRY_SPAN; DomainError when that span ends before d."""
     st = h.stats()
     if d < st.k0:
         raise DomainError(f"candidate depth {d} lies below the support start {st.k0}")
-    for k in range(st.k0, d + 1):
+    top = min(d, st.k0 + ENTRY_SPAN)
+    for k in range(st.k0, top + 1):
         b = beta(h, k, d)
         if b < 0:
             return DepthCheck(False, k, b)
+    if top < d:
+        raise DomainError(f"no negative entry up to k={top}, and the candidate d={d} is past the entry budget")
     return DepthCheck(True)
 
 

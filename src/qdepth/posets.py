@@ -33,7 +33,15 @@ def mask_from_elements(elements: Iterable[int], n: int) -> int:
     return mask
 
 
+def _mask(value) -> int:
+    """value itself when it is a set mask, a non-negative int; DomainError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise DomainError(f"set mask must be a non-negative integer, got {value!r}")
+    return value
+
+
 def elements_from_mask(mask: int) -> tuple[int, ...]:
+    _mask(mask)
     out = []
     i = 1
     while mask:
@@ -75,9 +83,7 @@ class Poset:
         if not self.sets:
             raise DomainError("family must be nonempty")
         for mask in self.sets:
-            if isinstance(mask, bool) or not isinstance(mask, int) or mask < 0:
-                raise DomainError(f"set mask must be a non-negative integer, got {mask!r}")
-            if mask >> self.n:
+            if _mask(mask) >> self.n:
                 raise DomainError(f"set {elements_from_mask(mask)} exceeds the ground set [1, {self.n}]")
 
     @classmethod
@@ -120,7 +126,7 @@ class IntervalPartition:
     intervals: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "intervals", tuple((int(c), int(d)) for c, d in self.intervals))
+        object.__setattr__(self, "intervals", tuple((_mask(c), _mask(d)) for c, d in self.intervals))
 
     @property
     def sdepth(self) -> int:

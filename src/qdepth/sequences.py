@@ -288,11 +288,18 @@ def beta_rows(h: Sequence, up_to: int) -> Iterator[tuple[int, dict]]:
     Each row maps k on [k0, d] to the transform value.  Rows are built from
     the previous one by the first-difference recurrence
     row[d+1][k] = row[d][k] - row[d][k-1], with the two boundary entries
-    row[d+1][k0] = h(k0) and row[d+1][d+1] = h(d+1) - row[d][d].
+    row[d+1][k0] = h(k0) and row[d+1][d+1] = h(d+1) - row[d][d].  At the
+    first next(), before any row is built, DomainError refuses a scan whose
+    rows hold more than ENTRY_BUDGET entries in all.
     """
     st = h.stats()
     if up_to < st.k0:
         raise DomainError(f"no rows exist below the support start {st.k0}")
+    entries = (up_to - st.k0 + 1) * (up_to - st.k0 + 2) // 2
+    if entries > ENTRY_BUDGET:
+        raise DomainError(
+            f"transform rows up to d={up_to} need {entries} transform entries, over the budget of {ENTRY_BUDGET}"
+        )
     row = {st.k0: st.h0}
     yield st.k0, row
     for d in range(st.k0 + 1, up_to + 1):
@@ -302,15 +309,6 @@ def beta_rows(h: Sequence, up_to: int) -> Iterator[tuple[int, dict]]:
         nxt[d] = h.value_at(d) - row[d - 1]
         row = nxt
         yield d, row
-
-
-def check_entry_budget(k0: int, d: int, what: str) -> None:
-    """Raise DomainError, before any row is built, when rows k0..d exceed ENTRY_BUDGET."""
-    entries = (d - k0 + 1) * (d - k0 + 2) // 2
-    if entries > ENTRY_BUDGET:
-        raise DomainError(
-            f"{what} up to d={d} need {entries} transform entries, over the budget of {ENTRY_BUDGET}"
-        )
 
 
 def _first_negative(row: dict) -> int | None:
@@ -330,7 +328,6 @@ def beta_table(h: Sequence, d: int) -> BetaTable:
     st = h.stats()
     if d < st.k0:
         raise DomainError(f"table at d={d} lies below the support start {st.k0}")
-    check_entry_budget(st.k0, d, "transform rows")
     for _, entries in beta_rows(h, d):
         pass
     return BetaTable(d, entries, _first_negative(entries))

@@ -113,6 +113,10 @@ CASES: list[dict] = [
     {"argv": ["qdepth", "--seq", '{"kind":[1]}']},
     {"argv": ["qdepth", "--seq", '{"kind":"geometric","scale":1,"ratio":2,"shift":"x"}']},
     *_both("sdepth", "--poset", FIVE_PAIRS_UP, "--cap", "26"),
+    {"argv": ["beta-table", "--seq", '{"kind":"polynomial","coeffs":[1,1]}', "--d", "1000000"]},
+    {"argv": ["qdepth", "--seq", '{"kind":"polynomial","coeffs":[1,1000000]}']},
+    {"argv": ["sweep", "--family", "arithmetic", "--a-range", "1-3", "--b-range", "1:1"]},
+    {"argv": ["sweep", "--family", "arithmetic", "--a-range", "a:b", "--b-range", "1:1"]},
 ]
 
 

@@ -174,6 +174,16 @@ def test_invalid_json_exits_2(capsys, tmp_path):
         assert json.loads(err)["code"] == "schema"
 
 
+def test_unexpected_exception_exits_1(capsys, monkeypatch):
+    def broken(args, out):
+        raise RuntimeError("broken handler")
+
+    monkeypatch.setattr("qdepth.cli.cmd_qdepth", broken)
+    code, out, err = run_cli(capsys, "qdepth", "--seq", WORKED_SEQ)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"code": "internal", "message": "broken handler"}
+
+
 def test_domain_error_exits_3(capsys):
     poset = json.dumps({"n": 5, "sets": [[e + 1 for e in range(5) if m >> e & 1] for m in range(1, 20)]})
     code, _, err = run_cli(capsys, "sdepth", "--poset", poset, "--cap", "10")

@@ -10,6 +10,7 @@ from qdepth import (
     DomainError,
     GeometricSequence,
     arithmetic_qdepth,
+    as_fraction,
     closed_forms,
     compare_alpha1,
     eq_bound,
@@ -50,6 +51,8 @@ def test_quadratic_examples():
     assert quadratic_qdepth(23, 2).value == 5
     assert quadratic_qdepth(13, 2).value == 7
     assert quadratic_qdepth(5, 2).value == 3
+    with pytest.raises(DomainError, match="quadratic tail needs positive a and b"):
+        quadratic_qdepth(0, 1)
 
 
 def test_prediction_value_is_positive_everywhere():
@@ -104,6 +107,8 @@ def test_eq_bound_rejects_bad_input():
         eq_bound(2, Fraction(-1, 2))
     with pytest.raises(DomainError):
         eq_bound(2, "not-a-rational")
+    with pytest.raises(DomainError, match="not an exact rational: 1.5"):
+        as_fraction(1.5)
 
 
 def test_eq_bound_matches_quadratic_closed_form():
@@ -154,6 +159,8 @@ def test_compare_alpha1():
         assert compare_alpha1(2 ** (n + 1) - 1, n) == -1
         assert compare_alpha1(Fraction(2 ** (n + 2) - 1, 2), n) == 1
         assert compare_alpha1(-5, n) == -1
+    with pytest.raises(DomainError, match="n must be at least 1"):
+        compare_alpha1(3, 0)
 
 
 def test_polynomial_upper_bound_values():

@@ -102,6 +102,15 @@ def test_qdepth_at_least_examples():
         qdepth_at_least(WORKED, -3)
 
 
+def test_qdepth_at_least_scans_only_the_search_span(monkeypatch):
+    monkeypatch.setattr(engine, "ENTRY_SPAN", 10)
+    with pytest.raises(DomainError, match="no negative entry up to k=10, and the candidate d=11"):
+        qdepth_at_least(GeometricSequence(1, 11), 11)
+    assert qdepth_at_least(GeometricSequence(1, 11), 10).ok
+    check = qdepth_at_least(PolynomialSequence([1, 10**6]), 10**6)
+    assert (check.ok, check.witness_k) == (False, 2)
+
+
 def test_monotone_acceptance_below_depth():
     rng = random.Random(61)
     for _ in range(80):
@@ -135,6 +144,8 @@ def test_necessary_condition_examples():
         st = h.stats()
         assert necessary_condition_holds(h, st.k0)
         assert necessary_condition_holds(h, qdepth_value(h))
+    with pytest.raises(DomainError, match="lies below the support start -2"):
+        necessary_condition_holds(WORKED, -3)
 
 
 def test_sufficient_condition_examples():
@@ -143,6 +154,8 @@ def test_sufficient_condition_examples():
     for d in range(1, 8):
         assert sufficient_condition_holds(falling_factorial(d), d)
     assert not sufficient_condition_holds(FiniteSequence(0, [1, 1]), 2)
+    with pytest.raises(DomainError, match="lies below the support start -2"):
+        sufficient_condition_holds(WORKED, -3)
 
 
 def test_implication_chain():
@@ -267,9 +280,10 @@ def test_rejections_over_budget_raise_before_building(row_counter):
     result = qdepth(h)
     assert result.qdepth == 3
     span = result.upper_bound_used - h.stats().k0
+    rows = row_counter["rows"]
     with pytest.raises(DomainError, match=f"need {(span + 1) * (span + 2) // 2} transform entries"):
         result.rejections
-    assert row_counter["calls"] == 1
+    assert row_counter["rows"] == rows
     with pytest.raises(DomainError):
         result.to_json_dict()
 

@@ -20,6 +20,7 @@ from qdepth import (
     Poset,
     SchemaError,
     binomial,
+    elements_from_mask,
     interval_members,
     mask_from_elements,
     partition_from_json_dict,
@@ -71,10 +72,29 @@ def test_poset_validation():
         Poset(64, frozenset({1}))
     with pytest.raises(DomainError):
         Poset(2, frozenset())
+    with pytest.raises(DomainError, match="ground size must be an integer"):
+        Poset(2.0, frozenset({1}))
+    with pytest.raises(DomainError, match="set mask must be a non-negative integer, got -1"):
+        Poset(2, frozenset({-1}))
     with pytest.raises(DomainError):
         Poset(2, frozenset({8}))
     with pytest.raises(DomainError):
         Poset.from_iterables(2, [[3]])
+
+
+@pytest.mark.parametrize(
+    "bounds", [(-1, 3), (1, -3), (1.9, 3.7), (True, 3), ("1", "3")],
+    ids=["negative", "negative-top", "float", "bool", "string"],
+)
+def test_interval_bounds_must_be_set_masks(bounds):
+    with pytest.raises(DomainError, match="set mask must be a non-negative integer"):
+        IntervalPartition(Poset(3, frozenset({1, 3})), [bounds])
+
+
+def test_elements_from_mask_refuses_a_negative_mask():
+    assert elements_from_mask(0b1011) == (1, 2, 4)
+    with pytest.raises(DomainError, match="set mask must be a non-negative integer, got -1"):
+        elements_from_mask(-1)
 
 
 def test_poset_qdepth_examples():
@@ -401,6 +421,13 @@ def test_poset_json_schema_violations():
         with pytest.raises(SchemaError):
             poset_from_json_dict(bad)
     poset = Poset.from_iterables(2, [[1]])
-    for bad in [7, {"intervals": 3}, {"intervals": [{"C": [1]}]}, {"intervals": [{"C": [1], "D": [3]}]}]:
+    for bad in [
+        7,
+        {"intervals": 3},
+        {"intervals": [], "extra": 1},
+        {"intervals": [{"C": [1]}]},
+        {"intervals": [{"C": 1, "D": [1]}]},
+        {"intervals": [{"C": [1], "D": [3]}]},
+    ]:
         with pytest.raises(SchemaError):
             partition_from_json_dict(bad, poset)

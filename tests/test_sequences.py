@@ -83,6 +83,8 @@ def test_invalid_constructions_rejected():
         FiniteSequence(0, [0, 0, 0])
     with pytest.raises(DomainError):
         FiniteSequence(0, [1, -2])
+    with pytest.raises(DomainError, match="values must be integers, got 1.5"):
+        FiniteSequence(0, [1, 1.5])
     with pytest.raises(DomainError):
         PolynomialSequence([0, 3])
     with pytest.raises(DomainError):
@@ -147,12 +149,29 @@ def test_beta_table_below_support_is_an_error():
 
 
 def test_beta_table_refuses_over_budget_before_building(monkeypatch):
-    def no_rows(h, up_to):
-        raise AssertionError("a row was built")
+    built = []
 
-    monkeypatch.setattr("qdepth.sequences.beta_rows", no_rows)
+    def recording(h, up_to):
+        for d, row in beta_rows(h, up_to):
+            built.append(d)
+            yield d, row
+
+    monkeypatch.setattr("qdepth.sequences.beta_rows", recording)
     with pytest.raises(DomainError, match="up to d=1000000 need 500001500001 transform entries"):
         beta_table(PolynomialSequence([1, 1]), 10**6)
+    assert built == []
+
+
+def test_beta_rows_refuses_over_budget_at_first_next(monkeypatch):
+    rows = beta_rows(PolynomialSequence([1, 1]), 10**6)
+    message = "transform rows up to d=1000000 need 500001500001 transform entries, over the budget of 2000000"
+    with pytest.raises(DomainError, match=message):
+        next(rows)
+    monkeypatch.setattr("qdepth.sequences.ENTRY_BUDGET", 21)
+    h = WORKED.shifted(-3)
+    assert [d for d, _ in beta_rows(h, 6)] == [1, 2, 3, 4, 5, 6]
+    with pytest.raises(DomainError, match="up to d=7 need 28 transform entries, over the budget of 21"):
+        next(beta_rows(h, 7))
 
 
 def test_beta_table_budget_counts_every_row_entry(monkeypatch):
@@ -294,6 +313,7 @@ def test_json_schema_violations():
         {"kind": "finite", "offset": 0, "values": [-1]},
         {"kind": "finite", "offset": 0, "values": [0]},
         {"kind": "polynomial", "coeffs": [0, 1]},
+        {"kind": "polynomial", "coeffs": 3},
         {"kind": "geometric", "scale": 1},
         {"kind": "geometric", "scale": 1, "ratio": "x"},
         {"kind": "geometric", "scale": 1, "ratio": 2, "shift": "x"},
