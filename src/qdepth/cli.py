@@ -14,14 +14,14 @@ deterministic: keys sorted, big integers as decimal strings.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
-from fractions import Fraction
 
-from . import closed_forms, engine, posets
+from . import engine
 from .errors import DomainError, SchemaError
-from .sequences import GeometricSequence, Sequence, beta_table, sequence_from_json_dict
+from .sequences import DEFAULT_BRUTEFORCE_CAP, GeometricSequence, Sequence, beta_table, sequence_from_json_dict
+
+# posets, closed_forms and csv are imported by the commands that use them
 
 
 def load_json_arg(raw: str, what: str):
@@ -82,22 +82,24 @@ def cmd_beta_table(args, out) -> None:
     _emit(table.to_json_dict(), args, out, lines)
 
 
-# family name -> (closed-form prediction, sequence, alpha), each a function of (a, b)
+# family name -> (closed-form prediction, sequence, alpha), each a function of (cf, a, b)
+# where cf is the closed_forms module
 _FAMILIES = {
-    "geometric": (
-        lambda a, b: closed_forms.PiecewisePrediction(closed_forms.geometric_qdepth(a, b), "ratio", True),
-        GeometricSequence, lambda a, b: b,
-    ),
-    "arithmetic": (closed_forms.arithmetic_qdepth, lambda a, b: closed_forms.monomial_plus_constant(a, b, 1), Fraction),
-    "quadratic": (closed_forms.quadratic_qdepth, lambda a, b: closed_forms.monomial_plus_constant(a, b, 2), Fraction),
+    "geometric": (lambda cf, a, b: cf.PiecewisePrediction(cf.geometric_qdepth(a, b), "ratio", True),
+                  lambda cf, a, b: GeometricSequence(a, b), lambda cf, a, b: b),
+    "arithmetic": (lambda cf, a, b: cf.arithmetic_qdepth(a, b),
+                   lambda cf, a, b: cf.monomial_plus_constant(a, b, 1), lambda cf, a, b: cf.as_fraction(a) / b),
+    "quadratic": (lambda cf, a, b: cf.quadratic_qdepth(a, b),
+                  lambda cf, a, b: cf.monomial_plus_constant(a, b, 2), lambda cf, a, b: cf.as_fraction(a) / b),
 }
 
 
 def _family_check(family: str, a: int, b: int) -> dict:
     """The closed-form prediction for one family member against the engine's depth."""
+    from . import closed_forms
     predict, sequence, _ = _FAMILIES[family]
-    prediction = predict(a, b)
-    computed = engine.qdepth_value(sequence(a, b))
+    prediction = predict(closed_forms, a, b)
+    computed = engine.qdepth_value(sequence(closed_forms, a, b))
     return {
         "family": family, "a": a, "b": b, "predicted": prediction.value, "computed": computed,
         "agree": prediction.value == computed, "branch": prediction.branch, "exact": prediction.is_exact,
@@ -116,9 +118,10 @@ def cmd_closed_form(args, out) -> None:
 
 
 def cmd_eq_bound(args, out) -> None:
+    from . import closed_forms
     try:
-        alpha = Fraction(args.alpha)
-    except (ValueError, ZeroDivisionError):
+        alpha = closed_forms.as_fraction(args.alpha)
+    except DomainError:
         raise SchemaError(f"alpha: not a rational: {args.alpha!r}") from None
     prediction = closed_forms.eq_bound(args.n, alpha)
     lines = [
@@ -129,6 +132,7 @@ def cmd_eq_bound(args, out) -> None:
 
 
 def cmd_realize(args, out) -> None:
+    from . import posets
     result = posets.realize(_load_sequence(args))
     obj = result.to_json_dict()
     for path, part in ((args.poset_out, result.poset), (args.partition_out, result.partition)):
@@ -148,28 +152,22 @@ def cmd_realize(args, out) -> None:
 
 
 def cmd_verify_partition(args, out) -> None:
+    from . import posets
     poset = posets.poset_from_json_dict(load_json_arg(args.poset, "poset"))
-    partition = posets.partition_from_json_dict(
-        load_json_arg(args.partition, "partition"), poset
-    )
+    partition = posets.partition_from_json_dict(load_json_arg(args.partition, "partition"), poset)
     report = posets.validate_partition(partition)
-    lines = [f"valid   {report.ok}"]
-    if report.ok:
-        lines.append(f"sdepth  {report.sdepth}")
-    else:
-        lines.append(f"reason  {report.reason}")
+    lines = [f"valid   {report.ok}", f"sdepth  {report.sdepth}" if report.ok else f"reason  {report.reason}"]
     _emit(report.to_json_dict(), args, out, lines)
 
 
 def cmd_sdepth(args, out) -> None:
+    from . import posets
     poset = posets.poset_from_json_dict(load_json_arg(args.poset, "poset"))
     result = posets.sdepth_bruteforce(poset, cap=args.cap)
     obj = {"sdepth": result.sdepth, "partition": result.partition.to_json_dict()}
     lines = [f"sdepth  {result.sdepth}"]
     for c, d in result.partition.intervals:
-        lines.append(
-            f"  [{list(posets.elements_from_mask(c))}, {list(posets.elements_from_mask(d))}]"
-        )
+        lines.append(f"  [{list(posets.elements_from_mask(c))}, {list(posets.elements_from_mask(d))}]")
     _emit(obj, args, out, lines)
 
 
@@ -187,6 +185,8 @@ def _parse_range(raw: str, what: str) -> range:
 
 
 def cmd_sweep(args, out) -> None:
+    import csv
+    from . import closed_forms
     a_range = _parse_range(args.a_range, "a-range")
     b_range = _parse_range(args.b_range, "b-range")
     alpha = _FAMILIES[args.family][2]
@@ -194,7 +194,7 @@ def cmd_sweep(args, out) -> None:
     for a in a_range:
         for b in b_range:
             c = _family_check(args.family, a, b)
-            rows.append([a, b, str(alpha(a, b)), c["predicted"], c["computed"], c["agree"]])
+            rows.append([a, b, str(alpha(closed_forms, a, b)), c["predicted"], c["computed"], c["agree"]])
     sink = open(args.out, "w", encoding="utf-8", newline="") if args.out else out
     try:
         writer = csv.writer(sink, lineterminator="\n")
@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sdepth", help="exhaustive best-partition depth on a small family")
     p.add_argument("--poset", required=True, help="poset JSON, a file path, or - for stdin")
-    p.add_argument("--cap", type=int, default=posets.DEFAULT_BRUTEFORCE_CAP, help="family size cap (default %(default)s)")
+    p.add_argument("--cap", type=int, default=DEFAULT_BRUTEFORCE_CAP, help="family size cap (default %(default)s)")
     add_format(p)
     p.set_defaults(handler=cmd_sdepth)
 

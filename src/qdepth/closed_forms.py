@@ -10,15 +10,14 @@ a threshold are classified correctly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import DomainError
-from .sequences import PolynomialSequence
+from .records import Record
+from .sequences import PolynomialSequence, _int
 
 
-@dataclass(frozen=True)
-class PiecewisePrediction:
+class PiecewisePrediction(Record):
     """A predicted depth together with the interval of alpha that produced it.
 
     is_exact records whether the prediction is a proven equality rather
@@ -35,44 +34,43 @@ class PiecewisePrediction:
 
 def as_fraction(x) -> Fraction:
     """Coerce an int, Fraction or string like '22/3' to an exact Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (Fraction, int, str)) and not isinstance(x, bool):
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError):
-            raise DomainError(f"not an exact rational: {x!r}") from None
+            pass
     raise DomainError(f"not an exact rational: {x!r}")
 
 
 def monomial_plus_constant(a: int, b: int, degree: int) -> PolynomialSequence:
     """The tail a*j^degree + b as a polynomial sequence."""
-    if degree < 1:
-        raise DomainError(f"degree must be at least 1, got {degree}")
+    _int(degree, "degree", 1)
     return PolynomialSequence([b] + [0] * (degree - 1) + [a])
 
 
 def geometric_qdepth(a: int, r: int) -> int:
     """Depth of the geometric tail a * r**j: always the ratio r."""
-    if a < 1 or r < 1:
+    if _int(a, "scale") < 1 or _int(r, "ratio") < 1:
         raise DomainError("geometric tail needs positive scale and ratio")
     return r
 
 
+def _proven_eq_bound(n: int, a: int, b: int, tail: str) -> PiecewisePrediction:
+    """eq_bound at alpha = a/b, marked exact: for n = 1 and n = 2 the bound is the depth."""
+    if _int(a, "a") < 1 or _int(b, "b") < 1:
+        raise DomainError(f"{tail} tail needs positive a and b")
+    bound = eq_bound(n, Fraction(a, b))
+    return PiecewisePrediction(bound.value, bound.branch, True)
+
+
 def arithmetic_qdepth(a: int, b: int) -> PiecewisePrediction:
     """Exact depth of the linear tail a*j + b: eq_bound at n = 1, a proven equality."""
-    if a < 1 or b < 1:
-        raise DomainError("linear tail needs positive a and b")
-    return replace(eq_bound(1, Fraction(a, b)), is_exact=True)
+    return _proven_eq_bound(1, a, b, "linear")
 
 
 def quadratic_qdepth(a: int, b: int) -> PiecewisePrediction:
     """Exact depth of the quadratic tail a*j^2 + b: eq_bound at n = 2, a proven equality."""
-    if a < 1 or b < 1:
-        raise DomainError("quadratic tail needs positive a and b")
-    return replace(eq_bound(2, Fraction(a, b)), is_exact=True)
+    return _proven_eq_bound(2, a, b, "quadratic")
 
 
 def lambda_threshold(n: int, m: int) -> Fraction:
@@ -81,9 +79,8 @@ def lambda_threshold(n: int, m: int) -> Fraction:
     Defined for 2 <= m <= 2^n; the subscript convention indexes the value
     as lambda_(2^n + 1 - m).  Thresholds grow strictly as m decreases.
     """
-    if n < 1:
-        raise DomainError(f"n must be at least 1, got {n}")
-    if not 2 <= m <= 2**n:
+    _int(n, "n", 1)
+    if not 2 <= _int(m, "m") <= 2**n:
         raise DomainError(f"m must lie in [2, {2**n}], got {m}")
     num = m * m + m * (2 ** (n + 1) - 3) + 4**n - 3 * 2**n + 4
     return Fraction(num, 2 * m - 2)
@@ -97,8 +94,7 @@ def compare_alpha1(alpha, n: int) -> int:
     squares alpha + 1/2 - 2^n against 4^n - 2^n + 2 after a sign check, so
     no floating point is involved.
     """
-    if n < 1:
-        raise DomainError(f"n must be at least 1, got {n}")
+    _int(n, "n", 1)
     alpha = as_fraction(alpha)
     t = alpha + Fraction(1, 2) - 2**n
     if t <= 0:
@@ -120,8 +116,7 @@ def eq_bound(n: int, alpha) -> PiecewisePrediction:
     lambda_threshold.  The bound is a proven equality when floor(alpha) + 1
     is at most 4, which is what is_exact reports.
     """
-    if n < 1:
-        raise DomainError(f"n must be at least 1, got {n}")
+    _int(n, "n", 1)
     alpha = as_fraction(alpha)
     if alpha <= 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
@@ -147,6 +142,5 @@ def eq_bound(n: int, alpha) -> PiecewisePrediction:
 
 def polynomial_upper_bound(degree: int) -> int:
     """Depth cap 2^(degree+1) for any polynomial tail with positive constant term."""
-    if degree < 1:
-        raise DomainError(f"degree must be at least 1, got {degree}")
+    _int(degree, "degree", 1)
     return 2 ** (degree + 1)

@@ -15,15 +15,14 @@ witness for every rejected candidate above the answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DomainError
+from .records import Record
 from .sequences import ENTRY_SPAN, BetaTable, Sequence, beta, beta_rows, binomial, _first_negative
 
 
-@dataclass(frozen=True)
-class Rejection:
+class Rejection(Record):
     """A candidate depth d ruled out by the negative value beta at index k."""
 
     d: int
@@ -31,8 +30,7 @@ class Rejection:
     beta: int
 
 
-@dataclass(frozen=True)
-class DepthCheck:
+class DepthCheck(Record):
     """Outcome of testing one candidate depth.
 
     When ok is False, witness_k is the smallest index whose transform value
@@ -44,8 +42,7 @@ class DepthCheck:
     witness_beta: int | None = None
 
 
-@dataclass(frozen=True)
-class QDepthResult:
+class QDepthResult(Record):
     """Depth of a sequence, its accepted table and the search bound.
 
     rejections holds one Rejection for every d from upper_bound_used down

@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping, Sequence as SequenceABC
-from dataclasses import dataclass
 from itertools import combinations, islice
 
 from . import engine
 from .errors import DomainError, SchemaError
-from .sequences import FiniteSequence, Sequence
+from .records import Record
+from .sequences import DEFAULT_BRUTEFORCE_CAP, FiniteSequence, Sequence, _int
 
 MAX_GROUND_SIZE = 63
-DEFAULT_BRUTEFORCE_CAP = 24
 
 Interval = tuple[int, int]
 
@@ -67,17 +66,14 @@ def interval_members(bottom: int, top: int) -> Iterable[int]:
         yield bottom | sub
 
 
-@dataclass(frozen=True)
-class Poset:
+class Poset(Record):
     """A nonempty family of distinct subsets of [n], n at most 63."""
 
     n: int
     sets: frozenset
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, int):
-            raise DomainError(f"ground size must be an integer, got {self.n!r}")
-        if not 1 <= self.n <= MAX_GROUND_SIZE:
+        if not 1 <= _int(self.n, "ground size") <= MAX_GROUND_SIZE:
             raise DomainError(f"ground size must lie in [1, {MAX_GROUND_SIZE}], got {self.n}")
         object.__setattr__(self, "sets", frozenset(self.sets))
         if not self.sets:
@@ -118,8 +114,7 @@ def poset_qdepth(poset: Poset) -> engine.QDepthResult:
     return engine.qdepth(poset.level_sequence())
 
 
-@dataclass(frozen=True)
-class IntervalPartition:
+class IntervalPartition(Record):
     """An ordered list of intervals meant to partition the target family."""
 
     target: Poset
@@ -141,8 +136,7 @@ class IntervalPartition:
         }
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     """Verdict of validate_partition; reason names the first violated clause."""
 
     ok: bool
@@ -208,8 +202,9 @@ def validate_partition(partition: IntervalPartition) -> ValidationReport:
     return ValidationReport(True, partition.sdepth, None)
 
 
-@dataclass(frozen=True)
-class SdepthResult:
+class SdepthResult(Record):
+    """Best partition depth of a family and a partition attaining it."""
+
     sdepth: int
     partition: IntervalPartition
 
@@ -293,8 +288,7 @@ def sdepth_bruteforce(poset: Poset, cap: int = DEFAULT_BRUTEFORCE_CAP) -> Sdepth
     raise AssertionError("unreachable: singleton intervals always cover the family")
 
 
-@dataclass(frozen=True)
-class RealizationResult:
+class RealizationResult(Record):
     """Family realizing a sequence window, plus the certifying partition.
 
     m is the shift applied to the input, depth the invariant of the shifted

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import MISSING, dataclass, field, fields
-from typing import ClassVar, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .errors import DomainError, SchemaError
+from .records import Record
 
 # Most transform entries one computation may build: rows k0..d hold
 # (d - k0 + 1)(d - k0 + 2) / 2 of them, so d - k0 <= ENTRY_SPAN = 1998.  The
@@ -24,6 +24,9 @@ from .errors import DomainError, SchemaError
 # CPython 3.11 and keep one row in memory.
 ENTRY_BUDGET = 2_000_000
 ENTRY_SPAN = (math.isqrt(8 * ENTRY_BUDGET + 1) - 3) // 2
+# Largest family posets.sdepth_bruteforce searches by default.  It is kept
+# here so that the command line can show it without importing posets.
+DEFAULT_BRUTEFORCE_CAP = 24
 
 
 def binomial(m: int, t: int) -> int:
@@ -33,8 +36,7 @@ def binomial(m: int, t: int) -> int:
     return math.comb(m, t)
 
 
-@dataclass(frozen=True)
-class SequenceStats:
+class SequenceStats(Record):
     """Support markers of a sequence.
 
     k0 is the first index with a positive value, kf the last index of the
@@ -49,17 +51,14 @@ class SequenceStats:
     c: int
 
 
-class Sequence:
+class Sequence(Record):
     """Base class for all sequence kinds.
 
-    Subclasses are frozen dataclasses that validate in __post_init__ and
-    compute their support stats there once.  A subclass's kind name and its
-    init fields are its JSON schema: to_json_dict writes them and
-    sequence_from_json_dict reads them back.
+    Subclasses are records that validate in __post_init__ and compute their
+    support stats there once, outside the fields.  A subclass's kind name
+    (a class attribute) and its fields are its JSON schema: to_json_dict
+    writes them and sequence_from_json_dict reads them back.
     """
-
-    __slots__ = ()
-    kind: ClassVar[str]
 
     def value_at(self, j: int) -> int:
         raise NotImplementedError
@@ -83,12 +82,12 @@ class Sequence:
         return FiniteSequence(k0, [self.value_at(j) for j in range(k0, hi + 1)])
 
     def to_json_dict(self) -> dict:
-        """The kind and every init field, leaving out those at their default."""
+        """The kind and every field, leaving out those at their default."""
         out = {"kind": self.kind}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.init and v != f.default:
-                out[f.name] = list(v) if isinstance(v, tuple) else v
+        for name in self._fields:
+            v = getattr(self, name)
+            if name not in self._defaults or v != self._defaults[name]:
+                out[name] = list(v) if isinstance(v, tuple) else v
         return out
 
 
@@ -103,13 +102,15 @@ def _checked_values(values: Iterable[int], what: str) -> list[int]:
     return out
 
 
-def _positive_int(v: int, what: str) -> int:
-    if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-        raise DomainError(f"{what} must be a positive integer, got {v!r}")
+def _int(v: int, what: str, least: int | None = None) -> int:
+    """v itself when it is an int, not a bool, and at least `least`; DomainError otherwise."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise DomainError(f"{what} must be an integer, got {v!r}")
+    if least is not None and v < least:
+        raise DomainError(f"{what} must be at least {least}, got {v}")
     return v
 
 
-@dataclass(frozen=True, slots=True)
 class FiniteSequence(Sequence):
     """Finitely supported sequence: values[i] = h(offset + i), zero elsewhere.
 
@@ -120,9 +121,9 @@ class FiniteSequence(Sequence):
     kind = "finite"
     offset: int
     values: tuple
-    _stats: SequenceStats = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _int(self.offset, "offset")
         vals = _checked_values(self.values, "values")
         if not any(vals):
             raise DomainError("sequence must not be identically zero")
@@ -150,11 +151,10 @@ class FiniteSequence(Sequence):
         return FiniteSequence(self.offset - m, self.values)
 
     def scaled(self, c: int) -> "FiniteSequence":
-        _positive_int(c, "scale factor")
+        _int(c, "scale factor", 1)
         return FiniteSequence(self.offset, [c * v for v in self.values])
 
 
-@dataclass(frozen=True, slots=True)
 class PolynomialSequence(Sequence):
     """Polynomial tail: P(j) for j >= 0 and zero for j < 0, then shifted.
 
@@ -166,9 +166,9 @@ class PolynomialSequence(Sequence):
     kind = "polynomial"
     coeffs: tuple
     shift: int = 0
-    _stats: SequenceStats = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _int(self.shift, "shift")
         cs = _checked_values(self.coeffs, "coeffs")
         if not cs:
             raise DomainError("coeffs must be nonempty")
@@ -197,11 +197,10 @@ class PolynomialSequence(Sequence):
         return PolynomialSequence(self.coeffs, self.shift + m)
 
     def scaled(self, c: int) -> "PolynomialSequence":
-        _positive_int(c, "scale factor")
+        _int(c, "scale factor", 1)
         return PolynomialSequence([c * a for a in self.coeffs], self.shift)
 
 
-@dataclass(frozen=True, slots=True)
 class GeometricSequence(Sequence):
     """Geometric tail: scale * ratio**j for j >= 0 and zero for j < 0, then shifted."""
 
@@ -209,11 +208,11 @@ class GeometricSequence(Sequence):
     scale: int
     ratio: int
     shift: int = 0
-    _stats: SequenceStats = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _positive_int(self.scale, "scale")
-        _positive_int(self.ratio, "ratio")
+        _int(self.scale, "scale", 1)
+        _int(self.ratio, "ratio", 1)
+        _int(self.shift, "shift")
         st = SequenceStats(-self.shift, None, self.scale, self.scale * self.ratio, self.ratio)
         object.__setattr__(self, "_stats", st)
 
@@ -227,7 +226,7 @@ class GeometricSequence(Sequence):
         return GeometricSequence(self.scale, self.ratio, self.shift + m)
 
     def scaled(self, c: int) -> "GeometricSequence":
-        _positive_int(c, "scale factor")
+        _int(c, "scale factor", 1)
         return GeometricSequence(c * self.scale, self.ratio, self.shift)
 
 
@@ -243,17 +242,20 @@ def add(g: Sequence, h: Sequence) -> FiniteSequence:
     return FiniteSequence(lo, [g.value_at(j) + h.value_at(j) for j in range(lo, hi + 1)])
 
 
-@dataclass(frozen=True, eq=True)
-class BetaTable:
+class BetaTable(Record):
     """All transform values at one d, indexed by k on [k0, d].
 
     first_negative is the smallest k with a negative entry, or None when
-    the whole table is non-negative.
+    the whole table is non-negative.  entries is never changed after
+    construction, so tables hash by its items.
     """
 
     d: int
     entries: dict
     first_negative: int | None
+
+    def __hash__(self):
+        return hash((self.d, frozenset(self.entries.items()), self.first_negative))
 
     def to_json_dict(self) -> dict:
         return {
@@ -376,14 +378,14 @@ def sequence_from_json_dict(obj) -> Sequence:
     if cls is None:
         raise SchemaError(f"sequence: unknown kind {kind!r}")
     where = f"{kind} sequence"
-    params = [f for f in fields(cls) if f.init]
-    extra = set(obj) - {"kind", *(f.name for f in params)}
+    extra = set(obj) - {"kind", *cls._fields}
     if extra:
         raise SchemaError(f"{where}: unknown keys {sorted(extra)}")
-    required = [f.name for f in params if f.default is MISSING]
+    required = [name for name in cls._fields if name not in cls._defaults]
     if not all(name in obj for name in required):
         raise SchemaError(f"{where}: requires {' and '.join(required)}")
-    args = {f.name: _FIELD_PARSERS[f.type](obj[f.name], f.name) for f in params if f.name in obj}
+    types = cls.__annotations__
+    args = {name: _FIELD_PARSERS[types[name]](obj[name], name) for name in cls._fields if name in obj}
     try:
         return cls(**args)
     except DomainError as e:

@@ -100,6 +100,27 @@ def test_eq_bound_exactness_flag():
     assert not eq_bound(3, 15).is_exact
 
 
+def test_geometric_qdepth_rejects_a_float_ratio():
+    with pytest.raises(DomainError, match="ratio must be an integer, got 3.5"):
+        geometric_qdepth(2, 3.5)
+
+
+def test_polynomial_upper_bound_rejects_a_float_degree():
+    with pytest.raises(DomainError, match="degree must be an integer, got 2.5"):
+        polynomial_upper_bound(2.5)
+
+
+def test_exact_closed_forms_reject_non_int_parameters():
+    with pytest.raises(DomainError, match="a must be an integer, got 2.5"):
+        arithmetic_qdepth(2.5, 1)
+    with pytest.raises(DomainError, match="b must be an integer, got True"):
+        quadratic_qdepth(1, True)
+    for call in (lambda: eq_bound(2.0, 3), lambda: lambda_threshold(2, 3.0),
+                 lambda: compare_alpha1(3, 1.5), lambda: monomial_plus_constant(1, 1, 1.0)):
+        with pytest.raises(DomainError, match="must be an integer"):
+            call()
+
+
 def test_eq_bound_rejects_bad_input():
     with pytest.raises(DomainError):
         eq_bound(0, 3)

@@ -3,8 +3,15 @@
 Sequences of all three kinds are drawn by hypothesis; every property is
 checked against helpers.oracle_qdepth and helpers.oracle_beta, which read
 only sequence values and use neither the engine nor the transform code.
-Runs are derandomized so that a failure repeats.
+The sequence JSON schema is fuzzed with small schema-shaped objects: it
+either parses into a sequence that round-trips or raises SchemaError, and
+the command line never reports an internal failure on it.  Runs are
+derandomized so that a failure repeats.
 """
+
+import contextlib
+import io
+import json
 
 import pytest
 
@@ -18,10 +25,13 @@ from qdepth import (
     GeometricSequence,
     PolynomialSequence,
     Rejection,
+    SchemaError,
+    cli,
     depth_upper_bound,
     qdepth,
     qdepth_at_least,
     qdepth_value,
+    sequence_from_json_dict,
 )
 
 shifts = st.integers(-3, 3)
@@ -64,3 +74,73 @@ def test_lazy_rejections_match_eager_oracle_scan(h):
         k, b = next((k, b) for k, b in row if b < 0)
         eager.append(Rejection(d, k, b))
     assert result.rejections == tuple(eager)
+
+
+# schema-shaped JSON values: integers stay within 60 so each example is cheap
+small_ints = st.integers(-60, 60)
+scalars = st.one_of(
+    small_ints, small_ints.map(str), st.booleans(), st.none(),
+    st.floats(-60, 60, allow_nan=False), st.sampled_from(["", "x", "1.5", " 7", "0x3"]),
+)
+field_values = st.one_of(scalars, st.lists(scalars, max_size=6))
+
+
+def _ints(lo: int, hi: int):
+    """Integers in [lo, hi], as JSON numbers or as decimal strings."""
+    return st.one_of(st.integers(lo, hi), st.integers(lo, hi).map(str))
+
+
+# the known kinds with well-typed fields, so that valid sequences come up often
+well_typed = st.one_of(
+    st.fixed_dictionaries(
+        {"kind": st.just("finite"), "offset": _ints(-60, 60), "values": st.lists(_ints(0, 60), max_size=6)}
+    ),
+    st.fixed_dictionaries(
+        {"kind": st.just("polynomial"), "coeffs": st.lists(_ints(0, 60), max_size=4)},
+        optional={"shift": _ints(-60, 60)},
+    ),
+    st.fixed_dictionaries(
+        {"kind": st.just("geometric"), "scale": _ints(0, 60), "ratio": _ints(0, 60)},
+        optional={"shift": _ints(-60, 60)},
+    ),
+)
+# the known kinds with any field values
+kind_shaped = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("finite"), "offset": field_values, "values": field_values}),
+    st.fixed_dictionaries({"kind": st.just("polynomial"), "coeffs": field_values}, optional={"shift": field_values}),
+    st.fixed_dictionaries(
+        {"kind": st.just("geometric"), "scale": field_values, "ratio": field_values}, optional={"shift": field_values}
+    ),
+)
+free_shaped = st.builds(
+    lambda kind, fields: fields if kind is None else {**fields, "kind": kind},
+    st.one_of(st.none(), st.sampled_from(["finite", "polynomial", "geometric", "bogus"]), scalars),
+    st.dictionaries(
+        st.sampled_from(["offset", "values", "coeffs", "shift", "scale", "ratio", "extra"]),
+        field_values, max_size=4,
+    ),
+)
+json_inputs = st.one_of(well_typed, kind_shaped, free_shaped, st.lists(free_shaped, max_size=2))
+
+
+@oracle_settings
+@given(json_inputs)
+def test_sequence_schema_parses_to_a_round_trip_or_raises_schema_error(obj):
+    try:
+        h = sequence_from_json_dict(obj)
+    except SchemaError:
+        return
+    encoded = h.to_json_dict()
+    assert sequence_from_json_dict(encoded) == h
+    assert sequence_from_json_dict(json.loads(json.dumps(encoded))) == h
+    assert encoded["kind"] == obj["kind"]
+
+
+@oracle_settings
+@given(json_inputs)
+def test_cli_never_fails_internally_on_schema_shaped_input(obj):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["qdepth", "--seq", json.dumps(obj)])
+    assert code in (0, 2, 3), err.getvalue()
+    assert (code == 0) == (err.getvalue() == "")

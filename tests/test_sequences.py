@@ -78,6 +78,25 @@ def test_finite_trimming_is_canonical():
     assert h == FiniteSequence(5, [4, 1])
 
 
+def test_finite_offset_must_be_an_int_not_a_float():
+    with pytest.raises(DomainError, match="offset must be an integer, got 1.5"):
+        FiniteSequence(1.5, [1, 2])
+
+
+def test_finite_offset_must_be_an_int_not_a_bool():
+    with pytest.raises(DomainError, match="offset must be an integer, got True"):
+        FiniteSequence(True, [1, 2])
+
+
+def test_tail_shift_must_be_an_int():
+    with pytest.raises(DomainError, match="shift must be an integer, got 0.5"):
+        GeometricSequence(1, 2, shift=0.5)
+    with pytest.raises(DomainError, match="shift must be an integer, got 1.5"):
+        PolynomialSequence([1, 1], shift=1.5)
+    with pytest.raises(DomainError, match="shift must be an integer, got 1.5"):
+        GeometricSequence(1, 2).shifted(1.5)
+
+
 def test_invalid_constructions_rejected():
     with pytest.raises(DomainError):
         FiniteSequence(0, [0, 0, 0])
