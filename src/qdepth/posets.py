@@ -222,7 +222,7 @@ def sdepth_bruteforce(poset: Poset, cap: int = DEFAULT_BRUTEFORCE_CAP) -> Sdepth
     """
     masks = poset.sorted_masks()
     s = len(masks)
-    if s > cap:
+    if s > _int(cap, "cap"):
         raise DomainError(f"family has {s} members, exhaustive search is capped at {cap}")
     sizes = [m.bit_count() for m in masks]
 

@@ -76,9 +76,8 @@ class Sequence(Record):
 
     def window(self, hi: int) -> "FiniteSequence":
         """Materialize the values on [k0, hi] as a finite sequence."""
+        _index(self, hi, "window end {}")
         k0 = self.stats().k0
-        if hi < k0:
-            raise DomainError(f"window end {hi} lies before the support start {k0}")
         return FiniteSequence(k0, [self.value_at(j) for j in range(k0, hi + 1)])
 
     def to_json_dict(self) -> dict:
@@ -108,6 +107,14 @@ def _int(v: int, what: str, least: int | None = None) -> int:
         raise DomainError(f"{what} must be an integer, got {v!r}")
     if least is not None and v < least:
         raise DomainError(f"{what} must be at least {least}, got {v}")
+    return v
+
+
+def _index(h: Sequence, v: int, what: str) -> int:
+    """v itself when it is an int at or after the support start of h; what is a template like "window end {}"."""
+    k0 = h.stats().k0
+    if _int(v, what.format(v)) < k0:
+        raise DomainError(f"{what.format(v)} lies below the support start {k0}")
     return v
 
 
@@ -148,7 +155,7 @@ class FiniteSequence(Sequence):
         return 0
 
     def shifted(self, m: int) -> "FiniteSequence":
-        return FiniteSequence(self.offset - m, self.values)
+        return FiniteSequence(self.offset - _int(m, "shift"), self.values)
 
     def scaled(self, c: int) -> "FiniteSequence":
         _int(c, "scale factor", 1)
@@ -194,7 +201,7 @@ class PolynomialSequence(Sequence):
         return acc
 
     def shifted(self, m: int) -> "PolynomialSequence":
-        return PolynomialSequence(self.coeffs, self.shift + m)
+        return PolynomialSequence(self.coeffs, self.shift + _int(m, "shift"))
 
     def scaled(self, c: int) -> "PolynomialSequence":
         _int(c, "scale factor", 1)
@@ -223,7 +230,7 @@ class GeometricSequence(Sequence):
         return self.scale * self.ratio**t
 
     def shifted(self, m: int) -> "GeometricSequence":
-        return GeometricSequence(self.scale, self.ratio, self.shift + m)
+        return GeometricSequence(self.scale, self.ratio, self.shift + _int(m, "shift"))
 
     def scaled(self, c: int) -> "GeometricSequence":
         _int(c, "scale factor", 1)
@@ -271,7 +278,7 @@ def beta(h: Sequence, k: int, d: int) -> int:
     This is the signed sum over j of binomial(d - j, k - j) * h(j); terms
     below the support start vanish, so j runs over [k0, k].
     """
-    if k > d:
+    if _int(k, "k") > _int(d, "d"):
         raise DomainError(f"transform requires k <= d, got k={k}, d={d}")
     k0 = h.stats().k0
     total = 0
@@ -291,12 +298,11 @@ def beta_rows(h: Sequence, up_to: int) -> Iterator[tuple[int, dict]]:
     the previous one by the first-difference recurrence
     row[d+1][k] = row[d][k] - row[d][k-1], with the two boundary entries
     row[d+1][k0] = h(k0) and row[d+1][d+1] = h(d+1) - row[d][d].  At the
-    first next(), before any row is built, DomainError refuses a scan whose
-    rows hold more than ENTRY_BUDGET entries in all.
+    first next(), before any row is built, DomainError refuses an up_to
+    below k0 and a scan whose rows hold more than ENTRY_BUDGET entries.
     """
     st = h.stats()
-    if up_to < st.k0:
-        raise DomainError(f"no rows exist below the support start {st.k0}")
+    _index(h, up_to, "table at d={}")
     entries = (up_to - st.k0 + 1) * (up_to - st.k0 + 2) // 2
     if entries > ENTRY_BUDGET:
         raise DomainError(
@@ -327,9 +333,6 @@ def beta_table(h: Sequence, d: int) -> BetaTable:
     The table is the last row of the first-difference recurrence, built
     within ENTRY_BUDGET.
     """
-    st = h.stats()
-    if d < st.k0:
-        raise DomainError(f"table at d={d} lies below the support start {st.k0}")
     for _, entries in beta_rows(h, d):
         pass
     return BetaTable(d, entries, _first_negative(entries))

@@ -117,6 +117,9 @@ CASES: list[dict] = [
     {"argv": ["qdepth", "--seq", '{"kind":"polynomial","coeffs":[1,1000000]}']},
     {"argv": ["sweep", "--family", "arithmetic", "--a-range", "1-3", "--b-range", "1:1"]},
     {"argv": ["sweep", "--family", "arithmetic", "--a-range", "a:b", "--b-range", "1:1"]},
+    {"argv": ["realize", "--seq", '{"kind":"polynomial","coeffs":[1,1]}', "--poset-out", "{tmp}/no-such-dir/x.json"]},
+    {"argv": ["sweep", "--family", "arithmetic", "--a-range", "1:2", "--b-range", "1:2",
+              "--out", "{tmp}/no-such-dir/x.csv"]},
 ]
 
 

@@ -103,12 +103,29 @@ def test_qdepth_at_least_examples():
 
 
 def test_qdepth_at_least_scans_only_the_search_span(monkeypatch):
-    monkeypatch.setattr(engine, "ENTRY_SPAN", 10)
-    with pytest.raises(DomainError, match="no negative entry up to k=10, and the candidate d=11"):
+    # rows k0..d hold (d - k0 + 1)(d - k0 + 2) / 2 entries: 66 at d - k0 = 10, 78 at 11
+    monkeypatch.setattr(sequences, "ENTRY_BUDGET", 66)
+    with pytest.raises(DomainError, match="transform rows up to d=11 need 78 transform entries, over the budget of 66"):
         qdepth_at_least(GeometricSequence(1, 11), 11)
     assert qdepth_at_least(GeometricSequence(1, 11), 10).ok
-    check = qdepth_at_least(PolynomialSequence([1, 10**6]), 10**6)
-    assert (check.ok, check.witness_k) == (False, 2)
+    monkeypatch.undo()
+    # past the budget the row is refused even where one direct sum would show a negative entry
+    p = PolynomialSequence([1, 10**6])
+    with pytest.raises(DomainError, match="transform rows up to d=1000000 need"):
+        qdepth_at_least(p, 10**6)
+    assert [beta(p, k, 10**6) < 0 for k in range(3)] == [False, False, True]
+
+
+def test_qdepth_at_least_reads_rows_not_direct_sums(monkeypatch):
+    def direct_sum(*args):
+        raise AssertionError("qdepth_at_least evaluated a direct sum")
+
+    monkeypatch.setattr(sequences, "beta", direct_sum)
+    monkeypatch.setattr(engine, "beta", direct_sum)
+    check = qdepth_at_least(GeometricSequence(1, 10**6), 400)
+    assert check == engine.DepthCheck(True)
+    check = qdepth_at_least(PolynomialSequence([1, 0, 0, 15]), 16)
+    assert (check.ok, check.witness_k, check.witness_beta) == (False, 3, -168)
 
 
 def test_monotone_acceptance_below_depth():

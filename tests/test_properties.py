@@ -3,10 +3,10 @@
 Sequences of all three kinds are drawn by hypothesis; every property is
 checked against helpers.oracle_qdepth and helpers.oracle_beta, which read
 only sequence values and use neither the engine nor the transform code.
-The sequence JSON schema is fuzzed with small schema-shaped objects: it
-either parses into a sequence that round-trips or raises SchemaError, and
-the command line never reports an internal failure on it.  Runs are
-derandomized so that a failure repeats.
+The sequence, poset and partition JSON schemas are fuzzed with small
+schema-shaped objects: each either parses into a value that round-trips or
+raises SchemaError, and the command line never reports an internal failure
+on them.  Runs are derandomized so that a failure repeats.
 """
 
 import contextlib
@@ -28,6 +28,8 @@ from qdepth import (
     SchemaError,
     cli,
     depth_upper_bound,
+    partition_from_json_dict,
+    poset_from_json_dict,
     qdepth,
     qdepth_at_least,
     qdepth_value,
@@ -57,9 +59,14 @@ def test_depth_matches_oracle(h):
 @oracle_settings
 @given(sequences)
 def test_acceptance_is_monotone_up_to_the_bound(h):
-    q = qdepth_value(h)
-    for d in range(h.stats().k0, depth_upper_bound(h) + 1):
-        assert qdepth_at_least(h, d).ok == (d <= q)
+    q, k0, top = qdepth_value(h), h.stats().k0, depth_upper_bound(h) + 2
+    values = values_dict(h, k0, top)
+    for d in range(k0, top + 1):
+        check = qdepth_at_least(h, d)
+        assert check.ok == (d <= q)
+        if not check.ok:
+            row = [(k, oracle_beta(values, k, d)) for k in range(k0, d + 1)]
+            assert (check.witness_k, check.witness_beta) == next((k, b) for k, b in row if b < 0)
 
 
 @oracle_settings
@@ -144,3 +151,83 @@ def test_cli_never_fails_internally_on_schema_shaped_input(obj):
         code = cli.main(["qdepth", "--seq", json.dumps(obj)])
     assert code in (0, 2, 3), err.getvalue()
     assert (code == 0) == (err.getvalue() == "")
+
+
+# families over at most 6 elements with at most 10 sets, so that an exhaustive
+# search stays cheap: well-typed ones over [n], and any shape with elements
+# and n as other JSON scalars
+def _well_typed_family(n: int):
+    subsets = st.lists(st.integers(1, n), max_size=n)
+    return st.tuples(
+        st.fixed_dictionaries({"n": st.just(n), "sets": st.lists(subsets, min_size=1, max_size=10)}),
+        st.fixed_dictionaries({"intervals": st.lists(st.fixed_dictionaries({"C": subsets, "D": subsets}),
+                                                     max_size=10)}),
+    )
+
+
+element_lists = st.lists(st.one_of(st.integers(0, 7), scalars), max_size=6)
+poset_shaped = st.one_of(
+    st.fixed_dictionaries({"n": st.one_of(st.integers(-1, 7), scalars),
+                           "sets": st.one_of(st.lists(element_lists, max_size=10), field_values)}),
+    st.dictionaries(st.sampled_from(["n", "sets", "extra"]),
+                    st.one_of(small_ints, st.lists(element_lists, max_size=3)), max_size=3),
+    st.lists(scalars, max_size=2),
+)
+interval_shaped = st.one_of(
+    st.fixed_dictionaries({"C": element_lists, "D": element_lists}),
+    st.dictionaries(st.sampled_from(["C", "D", "E"]), st.one_of(element_lists, scalars), max_size=3),
+    scalars,
+)
+partition_shaped = st.one_of(
+    st.fixed_dictionaries({"intervals": st.lists(interval_shaped, max_size=10)}),
+    st.dictionaries(st.sampled_from(["intervals", "extra"]),
+                    st.one_of(field_values, st.lists(interval_shaped, max_size=3)), max_size=2),
+    st.lists(interval_shaped, max_size=2),
+)
+families = st.one_of(st.integers(1, 6).flatmap(_well_typed_family), st.tuples(poset_shaped, partition_shaped))
+FALLBACK_TARGET = {"n": 3, "sets": [[1], [1, 2], [2, 3]]}
+
+
+@oracle_settings
+@given(families)
+def test_poset_schema_parses_to_a_round_trip_or_raises_schema_error(family):
+    try:
+        poset = poset_from_json_dict(family[0])
+    except SchemaError:
+        return
+    encoded = poset.to_json_dict()
+    assert poset_from_json_dict(encoded) == poset
+    assert poset_from_json_dict(json.loads(json.dumps(encoded))) == poset
+
+
+@oracle_settings
+@given(families)
+def test_partition_schema_parses_to_a_round_trip_or_raises_schema_error(family):
+    try:
+        target = poset_from_json_dict(family[0])
+    except SchemaError:
+        target = poset_from_json_dict(FALLBACK_TARGET)
+    try:
+        partition = partition_from_json_dict(family[1], target)
+    except SchemaError:
+        return
+    encoded = partition.to_json_dict()
+    assert partition_from_json_dict(encoded, target) == partition
+    assert partition_from_json_dict(json.loads(json.dumps(encoded)), target) == partition
+
+
+def _run(argv: list[str]) -> int:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2, 3), err.getvalue()
+    assert (code == 0) == (err.getvalue() == "")
+    return code
+
+
+@oracle_settings
+@given(families)
+def test_cli_never_fails_internally_on_schema_shaped_families(family):
+    poset, partition = (json.dumps(obj) for obj in family)
+    _run(["verify-partition", "--poset", poset, "--partition", partition])
+    _run(["sdepth", "--poset", poset])

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import re
 import sys
 
 import pytest
@@ -13,13 +14,18 @@ from qdepth import (
     FiniteSequence,
     GeometricSequence,
     PolynomialSequence,
+    Poset,
     SchemaError,
     add,
     beta,
     beta_rows,
     beta_table,
     binomial,
+    necessary_condition_holds,
+    qdepth_at_least,
+    sdepth_bruteforce,
     sequence_from_json_dict,
+    sufficient_condition_holds,
 )
 
 WORKED = FiniteSequence(-2, [2, 4, 7, 3, 1])
@@ -165,6 +171,33 @@ def test_beta_table_below_support_is_an_error():
         beta_table(WORKED, -3)
     with pytest.raises(DomainError):
         list(beta_rows(WORKED, -3))
+
+
+SMALL = FiniteSequence(0, [1, 2, 3])
+# every argument that indexes a sequence, a transform entry or a shift, with
+# the name its error message gives it
+INDEX_ARGUMENTS = {
+    "beta-k": ("k", lambda v: beta(SMALL, v, 2)),
+    "beta-d": ("d", lambda v: beta(SMALL, 0, v)),
+    "beta_rows": ("table at d=", lambda v: next(beta_rows(SMALL, v))),
+    "beta_table": ("table at d=", lambda v: beta_table(SMALL, v)),
+    "window": ("window end ", lambda v: SMALL.window(v)),
+    "qdepth_at_least": ("candidate depth ", lambda v: qdepth_at_least(SMALL, v)),
+    "necessary": ("candidate depth ", lambda v: necessary_condition_holds(SMALL, v)),
+    "sufficient": ("candidate depth ", lambda v: sufficient_condition_holds(SMALL, v)),
+    "finite-shifted": ("shift", lambda v: SMALL.shifted(v)),
+    "polynomial-shifted": ("shift", lambda v: PolynomialSequence([1, 1]).shifted(v)),
+    "geometric-shifted": ("shift", lambda v: GeometricSequence(1, 2).shifted(v)),
+    "sdepth-cap": ("cap", lambda v: sdepth_bruteforce(Poset.from_iterables(2, [[1]]), cap=v)),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
+@pytest.mark.parametrize("name, call", INDEX_ARGUMENTS.values(), ids=INDEX_ARGUMENTS)
+def test_index_arguments_must_be_ints(name, call, value):
+    with pytest.raises(DomainError, match=re.escape(f"must be an integer, got {value!r}")) as info:
+        call(value)
+    assert str(info.value).startswith(name)
 
 
 def test_beta_table_refuses_over_budget_before_building(monkeypatch):
