@@ -7,14 +7,15 @@ partition-depth search and grid sweeps to CSV.
 
 Exit codes: 0 success, 2 malformed input or unusable path, 3 domain error
 (an answer past CPython's integer digit limit among them), 1 internal failure.
-Errors go to stderr as one JSON line with a "code" field.  JSON output is
-deterministic: keys sorted, big integers as decimal strings.
+A subcommand's errors go to stderr as one JSON line with a "code" field, argparse's
+as usage text.  JSON output is deterministic: keys sorted, big integers as strings.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import sys
 
@@ -210,70 +211,54 @@ def cmd_sweep(args, out) -> None:
         writer.writerows(rows)
 
 
-def build_parser() -> argparse.ArgumentParser:
+_FORMAT = ("--format", {"choices": ["json", "table"], "default": "json"})
+_SEQ = (("--seq", {"required": True, "help": "sequence JSON, a file path, or - for stdin"}),
+        ("--shift", {"type": int, "default": 0, "help": "apply an m-shift before computing"}))
+_FAMILY = ("--family", {"choices": sorted(_FAMILIES), "required": True})
+_POSET = ("--poset", {"required": True, "help": "poset JSON, a file path, or - for stdin"})
+
+
+# command -> (help, argument specs); the handler of a command is cmd_<name>
+_COMMANDS = {
+    "qdepth": ("depth with acceptance and rejection certificates", (*_SEQ, _FORMAT)),
+    "beta-table": ("full transform table at one d", (*_SEQ, ("--d", {"type": int, "required": True}), _FORMAT)),
+    "closed-form": ("closed-form prediction against the engine", (
+        _FAMILY, ("--a", {"type": int, "required": True}),
+        ("--b", {"type": int, "required": True, "help": "second parameter (the ratio for geometric)"}), _FORMAT)),
+    "eq-bound": ("piecewise depth bound for a*j^n + b", (
+        ("--n", {"type": int, "required": True}),
+        ("--alpha", {"required": True, "help": "rational, like 15 or 22/3"}), _FORMAT)),
+    "realize": ("realize a sequence as family level counts", (
+        *_SEQ, ("--poset-out", {"help": "also write the family JSON to this path"}),
+        ("--partition-out", {"help": "also write the partition JSON to this path"}), _FORMAT)),
+    "verify-partition": ("validate an interval partition", (
+        _POSET, ("--partition", {"required": True, "help": "partition JSON, a file path, or - for stdin"}), _FORMAT)),
+    "sdepth": ("exhaustive best-partition depth on a small family", (_POSET, (
+        "--cap", {"type": int, "default": DEFAULT_BRUTEFORCE_CAP, "help": "family size cap (default %(default)s)"}),
+        _FORMAT)),
+    "sweep": ("grid sweep of a closed form against the engine, as CSV", (
+        _FAMILY, ("--a-range", {"required": True, "help": "LO:HI inclusive"}),
+        ("--b-range", {"required": True, "help": "LO:HI inclusive"}),
+        ("--out", {"help": "CSV path (stdout when omitted)"}))),
+}
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser for argv: when argv[0] names a command only its subparser is built, else all of them."""
     parser = argparse.ArgumentParser(
-        prog="qdepth",
-        description="Exact depth invariant of non-negative integer sequences.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p):
-        p.add_argument("--format", choices=["json", "table"], default="json")
-
-    def add_seq(p):
-        p.add_argument("--seq", required=True, help="sequence JSON, a file path, or - for stdin")
-        p.add_argument("--shift", type=int, default=0, help="apply an m-shift before computing")
-
-    p = sub.add_parser("qdepth", help="depth with acceptance and rejection certificates")
-    add_seq(p)
-    add_format(p)
-    p.set_defaults(handler=cmd_qdepth)
-
-    p = sub.add_parser("beta-table", help="full transform table at one d")
-    add_seq(p)
-    p.add_argument("--d", type=int, required=True)
-    add_format(p)
-    p.set_defaults(handler=cmd_beta_table)
-
-    p = sub.add_parser("closed-form", help="closed-form prediction against the engine")
-    p.add_argument("--family", choices=sorted(_FAMILIES), required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True, help="second parameter (the ratio for geometric)")
-    add_format(p)
-    p.set_defaults(handler=cmd_closed_form)
-
-    p = sub.add_parser("eq-bound", help="piecewise depth bound for a*j^n + b")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", required=True, help="rational, like 15 or 22/3")
-    add_format(p)
-    p.set_defaults(handler=cmd_eq_bound)
-
-    p = sub.add_parser("realize", help="realize a sequence as family level counts")
-    add_seq(p)
-    p.add_argument("--poset-out", help="also write the family JSON to this path")
-    p.add_argument("--partition-out", help="also write the partition JSON to this path")
-    add_format(p)
-    p.set_defaults(handler=cmd_realize)
-
-    p = sub.add_parser("verify-partition", help="validate an interval partition")
-    p.add_argument("--poset", required=True, help="poset JSON, a file path, or - for stdin")
-    p.add_argument("--partition", required=True, help="partition JSON, a file path, or - for stdin")
-    add_format(p)
-    p.set_defaults(handler=cmd_verify_partition)
-
-    p = sub.add_parser("sdepth", help="exhaustive best-partition depth on a small family")
-    p.add_argument("--poset", required=True, help="poset JSON, a file path, or - for stdin")
-    p.add_argument("--cap", type=int, default=DEFAULT_BRUTEFORCE_CAP, help="family size cap (default %(default)s)")
-    add_format(p)
-    p.set_defaults(handler=cmd_sdepth)
-
-    p = sub.add_parser("sweep", help="grid sweep of a closed form against the engine, as CSV")
-    p.add_argument("--family", choices=sorted(_FAMILIES), required=True)
-    p.add_argument("--a-range", required=True, help="LO:HI inclusive")
-    p.add_argument("--b-range", required=True, help="LO:HI inclusive")
-    p.add_argument("--out", help="CSV path (stdout when omitted)")
-    p.set_defaults(handler=cmd_sweep)
-
+        prog="qdepth", description="Exact depth invariant of non-negative integer sequences.")
+    names = [argv[0]] if argv and argv[0] in _COMMANDS else list(_COMMANDS)
+    # usage must list every command even when one is built; with all of them built the
+    # default metavar keeps "command" in the messages about a missing or unknown one
+    metavar = None if len(names) == len(_COMMANDS) else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, specs = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in specs:
+            p.add_argument(flag, **kwargs)
+        # looked up when the parser is built, so a rebound handler (perfbench wraps them) runs
+        p.set_defaults(handler=globals()["cmd_" + name.replace("-", "_")])
     return parser
 
 
@@ -282,7 +267,9 @@ def _error(code: str, exc: BaseException) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command and return its exit code; argparse exits itself with 0 (help) or 2 (usage)."""
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         args.handler(args, sys.stdout)
     except SchemaError as e:
@@ -303,5 +290,16 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> None:
+    """Process entry of `python -m qdepth.cli` and the `qdepth` script: main, then exit."""
+    try:
+        status = main()
+    finally:
+        # shutdown's final full collection skips frozen objects; main leaves the
+        # collector alone, as it also runs inside long-lived processes
+        gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -125,6 +125,8 @@ class IntervalPartition(Record):
 
     @property
     def sdepth(self) -> int:
+        if not self.intervals:
+            raise DomainError("no intervals given")
         return min(d.bit_count() for _, d in self.intervals)
 
     def to_json_dict(self) -> dict:

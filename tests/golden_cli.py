@@ -4,6 +4,9 @@ Each case is an argv list, optionally with stdin text.  The token {tmp} in
 an argument stands for a scratch directory, so subcommands that read or
 write files can be recorded; the files they leave behind are stored with
 the run.  Every run records its exit code, stdout, stderr and those files.
+An argparse exit (help, or a usage error before any subcommand runs) is
+recorded with its code; argparse wraps that text at the terminal width, so
+every run sees the width in ENV.
 
 Record the corpus (only when the command-line output is meant to change):
 
@@ -21,8 +24,10 @@ import json
 import os
 import sys
 import tempfile
+from unittest import mock
 
 CORPUS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_cli.json")
+ENV = {"COLUMNS": "80"}
 
 WORKED = '{"kind":"finite","offset":-2,"values":[2,4,7,3,1]}'
 CUBIC = '{"kind":"polynomial","coeffs":[1,0,0,15]}'
@@ -120,6 +125,17 @@ CASES: list[dict] = [
     {"argv": ["realize", "--seq", '{"kind":"polynomial","coeffs":[1,1]}', "--poset-out", "{tmp}/no-such-dir/x.json"]},
     {"argv": ["sweep", "--family", "arithmetic", "--a-range", "1:2", "--b-range", "1:2",
               "--out", "{tmp}/no-such-dir/x.csv"]},
+    # argparse-level output: help, and usage errors that exit 2 before any subcommand runs
+    {"argv": []},
+    {"argv": ["-h"]},
+    {"argv": ["qdepth", "-h"]},
+    {"argv": ["-h", "qdepth"]},
+    {"argv": ["bogus"]},
+    {"argv": ["qdepth", "--seq", WORKED, "extra"]},
+    {"argv": ["beta-table", "--seq", WORKED]},
+    {"argv": ["qdepth", "--format", "xml", "--seq", WORKED]},
+    {"argv": ["--format"]},
+    {"argv": ["beta-table", "--seq", WORKED, "--d", "x"]},
 ]
 
 
@@ -133,16 +149,30 @@ def run_case(case: dict) -> dict:
         stdin = sys.stdin
         sys.stdin = io.StringIO(case.get("stdin", ""))
         try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.main(argv)
+            with mock.patch.dict(os.environ, ENV), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as e:
+                    code = e.code
         finally:
             sys.stdin = stdin
-        files = {}
-        for name in sorted(os.listdir(tmp)):
-            with open(os.path.join(tmp, name), encoding="utf-8", newline="") as fh:
-                files[name] = fh.read()
+        files = written_files(tmp)
     text = {"stdout": out.getvalue(), "stderr": err.getvalue()}
     return {"exit": code, "files": files, **{k: v.replace(tmp, "{tmp}") for k, v in text.items()}}
+
+
+def written_files(tmp: str) -> dict:
+    """Name -> text of every file a run left in its scratch directory."""
+    files = {}
+    for name in sorted(os.listdir(tmp)):
+        with open(os.path.join(tmp, name), encoding="utf-8", newline="") as fh:
+            files[name] = fh.read()
+    return files
+
+
+def run_id(index: int, run: dict) -> str:
+    """Test id of a corpus run: its index and command (none for an empty argv)."""
+    return f"{index:02d}-{(run['argv'] or ['none'])[0]}"
 
 
 def record() -> list[dict]:

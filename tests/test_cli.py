@@ -1,11 +1,13 @@
 """Command-line behavior: output formats, determinism, round trips, exit codes."""
 
+import gc
 import io
 import json
 import sys
 
 import pytest
 
+from qdepth import cli
 from qdepth.cli import main
 
 WORKED_SEQ = '{"kind":"finite","offset":-2,"values":[2,4,7,3,1]}'
@@ -263,3 +265,30 @@ def test_integers_past_the_digit_limit_exit_2(capsys, quote):
     assert payload["code"] == "schema"
     assert str(limit) in payload["message"]
     assert len(err) < 300
+
+
+def _commands(parser) -> list:
+    return list(next(a for a in parser._actions if a.dest == "command").choices)
+
+
+def test_parser_builds_only_the_named_subcommand():
+    every = _commands(cli.build_parser())
+    assert len(every) == 8
+    for name in every:
+        assert _commands(cli.build_parser([name, "-h"])) == [name]
+    for argv in ([], ["-h", "sdepth"], ["--format", "sdepth"], ["bogus", "sdepth"], ["Sdepth"]):
+        assert _commands(cli.build_parser(argv)) == every
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["qdepth", "--seq", WORKED_SEQ], 0),
+    (["beta-table", "--seq", WORKED_SEQ, "--d", "-3"], 3),
+    (["bogus"], 2),
+])
+def test_process_entry_freezes_the_collector_then_exits(capsys, monkeypatch, argv, status):
+    freezes = []
+    monkeypatch.setattr(gc, "freeze", lambda: freezes.append(True))
+    monkeypatch.setattr(sys, "argv", ["qdepth", *argv])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.run()
+    assert (exit_info.value.code, freezes) == (status, [True])

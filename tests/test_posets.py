@@ -178,6 +178,13 @@ def test_validate_partition_rejects_inverted_bounds():
     assert "not contained" in report.reason
 
 
+def test_empty_partition_has_no_sdepth():
+    partition = IntervalPartition(Poset.from_iterables(2, [[1]]), ())
+    assert validate_partition(partition).reason == "no intervals given"
+    with pytest.raises(DomainError, match="no intervals given"):
+        partition.sdepth
+
+
 def _random_valid_partition(rng, family: list[int]) -> list:
     """Greedy partition: each unassigned set grows to a random free top in the family."""
     free = set(family)

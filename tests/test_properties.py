@@ -6,7 +6,8 @@ only sequence values and use neither the engine nor the transform code.
 The sequence, poset and partition JSON schemas are fuzzed with small
 schema-shaped objects: each either parses into a value that round-trips or
 raises SchemaError, and the command line never reports an internal failure
-on them.  Runs are derandomized so that a failure repeats.
+on them, nor on small, rational or junk values of the options of
+closed-form, eq-bound, beta-table and sweep.  Runs are derandomized so that a failure repeats.
 """
 
 import contextlib
@@ -231,3 +232,34 @@ def test_cli_never_fails_internally_on_schema_shaped_families(family):
     poset, partition = (json.dumps(obj) for obj in family)
     _run(["verify-partition", "--poset", poset, "--partition", partition])
     _run(["sdepth", "--poset", poset])
+
+
+# option values of the remaining subcommands: integers and rationals up to 50
+# in size, sweep ranges at most 3 wide, and strings that are neither
+option_junk = st.sampled_from(["", "x", "1.5", " 7", "0x3", "1e3", "3/0", "2/-4", "-", "1:2:3", ":", "nan"])
+int_options = st.one_of(st.integers(-50, 50).map(str), option_junk)
+rational_options = st.one_of(int_options, st.builds("{}/{}".format, st.integers(-50, 50), st.integers(-50, 50)))
+sweep_ranges = st.one_of(
+    st.builds(lambda lo, width: f"{lo}:{lo + width}", st.integers(-50, 48), st.integers(-1, 2)), option_junk
+)
+family_names = st.sampled_from(["geometric", "arithmetic", "quadratic", "cubic"])
+formats = st.sampled_from(["json", "table"])
+subcommand_argvs = st.one_of(
+    st.builds(lambda f, a, b, fmt: ["closed-form", f"--family={f}", f"--a={a}", f"--b={b}", f"--format={fmt}"],
+              family_names, int_options, int_options, formats),
+    st.builds(lambda n, alpha, fmt: ["eq-bound", f"--n={n}", f"--alpha={alpha}", f"--format={fmt}"],
+              int_options, rational_options, formats),
+    st.builds(lambda seq, d, fmt: ["beta-table", f"--seq={json.dumps(seq)}", f"--d={d}", f"--format={fmt}"],
+              well_typed, st.one_of(st.integers(-60, 60).map(str), option_junk), formats),
+    st.builds(lambda f, a, b: ["sweep", f"--family={f}", f"--a-range={a}", f"--b-range={b}"],
+              family_names, sweep_ranges, sweep_ranges),
+)
+
+
+@oracle_settings
+@given(subcommand_argvs)
+def test_cli_never_fails_internally_on_subcommand_options(argv):
+    try:
+        _run(argv)
+    except SystemExit as e:  # argparse refuses the option before any subcommand runs
+        assert e.code == 2

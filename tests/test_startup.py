@@ -3,7 +3,8 @@
 Each check runs in a new interpreter with PYTHONDONTWRITEBYTECODE=1, so no
 test run leaves bytecode behind and nothing loaded by another test hides a
 missing import.  The golden corpus replays in-process, where every module
-is already loaded, so only these runs can catch a lazy import gone wrong.
+is already loaded and the process outlives each run, so only these runs can
+catch a lazy import gone wrong or a fault in the process entry's exit path.
 """
 
 import importlib
@@ -15,14 +16,14 @@ import sys
 import pytest
 
 import qdepth
-from golden_cli import CORPUS_PATH
+from golden_cli import CORPUS_PATH, ENV, run_id, written_files
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 SUBMODULES = ("cli", "closed_forms", "engine", "errors", "posets", "records", "sequences")
 
 
 def _fresh(*args: str, stdin: str | None = None) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", **ENV)
     env["PYTHONPATH"] = SRC + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else SRC
     return subprocess.run([sys.executable, *args], env=env, input=stdin, capture_output=True,
                           text=True, timeout=60)
@@ -80,13 +81,21 @@ def test_unknown_attribute_raises_attribute_error():
     assert not hasattr(qdepth, "dataclass")
 
 
+with open(CORPUS_PATH, encoding="utf-8") as fh:
+    CORPUS = json.load(fh)
+
+
+def _argparse_level(run: dict) -> bool:
+    """Help or a usage error: argparse ends the process before any subcommand runs."""
+    return run["stdout"].startswith("usage:") or run["stderr"].startswith("usage:")
+
+
 def _first_golden_runs() -> list:
     """The first corpus run of each subcommand that reads no files and no stdin."""
-    with open(CORPUS_PATH, encoding="utf-8") as fh:
-        corpus = json.load(fh)
     first = {}
-    for run in corpus:
-        if "stdin" not in run and not run["files"] and not any("{tmp}" in a for a in run["argv"]):
+    for run in CORPUS:
+        if ("stdin" not in run and not run["files"] and not any("{tmp}" in a for a in run["argv"])
+                and not _argparse_level(run)):
             first.setdefault(run["argv"][0], run)
     return [first[command] for command in sorted(first)]
 
@@ -95,3 +104,17 @@ def _first_golden_runs() -> list:
 def test_fresh_cli_process_matches_golden_run(run):
     p = _fresh("-m", "qdepth.cli", *run["argv"])
     assert (p.returncode, p.stdout, p.stderr) == (run["exit"], run["stdout"], run["stderr"])
+
+
+_EXIT_PATH_RUNS = [(i, run) for i, run in enumerate(CORPUS)
+                   if _argparse_level(run) or any("{tmp}" in a for a in run["argv"])]
+
+
+@pytest.mark.parametrize("run", [run for _, run in _EXIT_PATH_RUNS],
+                         ids=[run_id(i, run) for i, run in _EXIT_PATH_RUNS])
+def test_fresh_cli_process_replays_exit_paths(run, tmp_path):
+    """Argparse exits and runs that write files, through the process entry, match the corpus."""
+    tmp = str(tmp_path)
+    p = _fresh("-m", "qdepth.cli", *(a.replace("{tmp}", tmp) for a in run["argv"]))
+    got = {"exit": p.returncode, "stdout": p.stdout.replace(tmp, "{tmp}"), "stderr": p.stderr.replace(tmp, "{tmp}")}
+    assert {**got, "files": written_files(tmp)} == {k: run[k] for k in ("exit", "stdout", "stderr", "files")}
