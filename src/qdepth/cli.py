@@ -72,15 +72,16 @@ def _emit(obj, args, out, table_lines) -> None:
 
 def cmd_qdepth(args, out) -> None:
     result = engine.qdepth(_load_sequence(args))
+    obj = result.to_json_dict()
     lines = [
         f"qdepth      {result.qdepth}",
         f"upper bound {result.upper_bound_used}",
     ]
     for k in sorted(result.accepted_table.entries):
         lines.append(f"  beta[{k}] = {result.accepted_table.entries[k]}")
-    for r in result.rejections:
-        lines.append(f"rejected d={r.d}: beta[{r.k}] = {r.beta}")
-    _emit(result.to_json_dict(), args, out, lines)
+    for r in obj["rejections"]:
+        lines.append(f"rejected d={r['d']}: beta[{r['k']}] = {r['beta']}")
+    _emit(obj, args, out, lines)
 
 
 def cmd_beta_table(args, out) -> None:
@@ -247,18 +248,15 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
     """The parser for argv: when argv[0] names a command only its subparser is built, else all of them."""
     parser = argparse.ArgumentParser(
         prog="qdepth", description="Exact depth invariant of non-negative integer sequences.")
-    names = [argv[0]] if argv and argv[0] in _COMMANDS else list(_COMMANDS)
-    # usage must list every command even when one is built; with all of them built the
-    # default metavar keeps "command" in the messages about a missing or unknown one
-    metavar = None if len(names) == len(_COMMANDS) else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
+    sub = parser.add_subparsers(dest="command", required=True)
+    # stated, so it lists every command even when one is built and reads the same on
+    # every CPython; set after add_subparsers, which takes the subcommands' prog from it
+    parser.usage = "%(prog)s [-h]\n" + " " * len("usage: qdepth ") + "{" + ",".join(_COMMANDS) + "} ..."
+    for name in [argv[0]] if argv and argv[0] in _COMMANDS else _COMMANDS:
         help_text, specs = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         for flag, kwargs in specs:
             p.add_argument(flag, **kwargs)
-        # looked up when the parser is built, so a rebound handler (perfbench wraps them) runs
-        p.set_defaults(handler=globals()["cmd_" + name.replace("-", "_")])
     return parser
 
 
@@ -271,7 +269,8 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv).parse_args(argv)
     try:
-        args.handler(args, sys.stdout)
+        # looked up at call time, so a rebound handler (perfbench wraps them) runs
+        globals()["cmd_" + args.command.replace("-", "_")](args, sys.stdout)
     except SchemaError as e:
         _error("schema", e)
         return 2

@@ -10,6 +10,7 @@ a threshold are classified correctly.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .errors import DomainError
@@ -114,9 +115,14 @@ def eq_bound(n: int, alpha) -> PiecewisePrediction:
     Below 2^(n+1) - 1 the bound is floor(alpha) + 1; past that point it
     steps down from 2^(n+1) to 2^n + 1 at the rational thresholds given by
     lambda_threshold.  The bound is a proven equality when floor(alpha) + 1
-    is at most 4, which is what is_exact reports.
+    is at most 4, which is what is_exact reports.  An n whose 2^(n+1) - 1
+    is past CPython's integer digit limit raises DomainError up front.
     """
     _int(n, "n", 1)
+    limit = sys.get_int_max_str_digits()
+    # 2^(n+1) - 1 >= 10^limit; log2(10) > 3, so the exact test runs only near the limit
+    if limit and n + 1 > 3 * limit and n + 1 >= (10**limit).bit_length():
+        raise DomainError(f"n is too large: 2^(n+1) - 1 has more than {limit} digits, the string conversion limit")
     alpha = as_fraction(alpha)
     if alpha <= 0:
         raise DomainError(f"alpha must be positive, got {alpha}")

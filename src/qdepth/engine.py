@@ -8,9 +8,9 @@ The depth is monotone in d: the rows of the transform satisfy
 row[d][k] = sum over j <= k of row[d+1][j], so a non-negative row d+1
 forces a non-negative row d.  The search therefore scans upward from k0
 and stops at the first row with a negative entry; its cost follows the
-answer, not the a-priori bound.  The result carries the accepted table
-and, built on first access under a fixed entry budget, one negative
-witness for every rejected candidate above the answer.
+answer, not the a-priori bound.  The result carries the accepted table,
+the first negative entry of the row where the scan stopped and, built on
+first access under a fixed entry budget, one witness for every rejection.
 """
 
 from __future__ import annotations
@@ -44,19 +44,22 @@ class DepthCheck(Record):
 
 
 class QDepthResult(Record):
-    """Depth of a sequence, its accepted table and the search bound.
+    """Depth of a sequence, its accepted table, the search bound and a witness.
 
-    rejections holds one Rejection for every d from upper_bound_used down
-    to qdepth + 1, with k the smallest negative index.  It is computed on
-    first access by a second scan of the rows up to the bound, and raises
-    DomainError when that scan would exceed ENTRY_BUDGET entries.
-    Equality, repr, pickling and copying never compute it.
+    witness is the first negative entry of row qdepth + 1, where the search
+    stopped, or None when qdepth is the bound.  rejections holds one
+    Rejection for every d from upper_bound_used down to qdepth + 1, with k
+    the smallest negative index, so witness is its last entry.  It is
+    computed on first access by a second scan of the rows up to the bound,
+    and raises DomainError when that scan would exceed ENTRY_BUDGET
+    entries.  Equality, repr, pickling and copying never compute it.
     """
 
     qdepth: int
     accepted_table: BetaTable
     upper_bound_used: int
     sequence: Sequence
+    witness: Rejection | None
 
     @cached_property
     def rejections(self) -> tuple[Rejection, ...]:
@@ -74,7 +77,7 @@ class QDepthResult(Record):
         return {
             "qdepth": self.qdepth,
             "upper_bound": self.upper_bound_used,
-            "rejections": [{"d": r.d, "k": r.k, "beta": str(r.beta)} for r in self.rejections],
+            "rejections": [{"d": r.d, "k": r.k, "beta": str(r.beta)} for r in [self.witness] if r is not None],
             "table": {str(k): str(v) for k, v in self.accepted_table.entries.items()},
         }
 
@@ -95,22 +98,26 @@ def qdepth(h: Sequence) -> QDepthResult:
     row holds the prefix sums of the next one, so once a row has a
     negative entry every later row has one too: the row before the first
     negative one is the answer, or the cap itself when no row is negative.
-    Only that row is kept, and the work is O((answer - k0)^2) entries.
+    That row is kept, with the first negative entry of the next one as the
+    witness, and the work is O((answer - k0)^2) entries.
     The row at k0 is the single positive entry h(k0), so the answer is
     never below k0.  The scan stops at k0 + ENTRY_SPAN, and DomainError
     is raised when no row up to there is negative but the cap lies further.
-    Rejection witnesses are built on first access to the result's
-    rejections, within ENTRY_BUDGET.
+    The full list of rejection witnesses is built on first access to the
+    result's rejections, within ENTRY_BUDGET.
     """
     ub = depth_upper_bound(h)
     top = min(ub, h.stats().k0 + ENTRY_SPAN)
+    witness = None
     for d, row in beta_rows(h, top):
         if min(row.values()) < 0:
+            k = _first_negative(row)
+            witness = Rejection(d, k, row[k])
             break
         q, accepted = d, row
     if q == top < ub:
         raise DomainError(f"no negative row up to d={top}, and the bound d={ub} is past the entry budget")
-    return QDepthResult(q, BetaTable(q, accepted, None), ub, h)
+    return QDepthResult(q, BetaTable(q, accepted, None), ub, h, witness)
 
 
 def qdepth_value(h: Sequence) -> int:

@@ -136,6 +136,9 @@ CASES: list[dict] = [
     {"argv": ["qdepth", "--format", "xml", "--seq", WORKED]},
     {"argv": ["--format"]},
     {"argv": ["beta-table", "--seq", WORKED, "--d", "x"]},
+    # the witness certificate past the rejection budget, and an n whose 2^(n+1) cannot be printed
+    {"argv": ["qdepth", "--seq", '{"kind":"polynomial","coeffs":[1,1000000]}', "--format", "table"]},
+    {"argv": ["eq-bound", "--n", "10000000000", "--alpha", "3"]},
 ]
 
 

@@ -4,10 +4,11 @@ import gc
 import io
 import json
 import sys
+import time
 
 import pytest
 
-from qdepth import cli
+from qdepth import cli, engine
 from qdepth.cli import main
 
 WORKED_SEQ = '{"kind":"finite","offset":-2,"values":[2,4,7,3,1]}'
@@ -207,14 +208,39 @@ def test_table_format_qdepth(capsys):
     assert "qdepth      3" in out
 
 
-def test_qdepth_certificate_over_budget_exits_3(capsys):
+def test_qdepth_certificate_over_budget_exits_0(capsys):
+    # the full rejection list would need 5*10^11 entries; the witness needs none beyond the search
     seq = '{"kind":"polynomial","coeffs":[1,1000000]}'
     code, out, err = run_cli(capsys, "qdepth", "--seq", seq)
-    assert code == 3
-    assert out == ""
-    payload = json.loads(err)
-    assert payload["code"] == "domain"
-    assert "transform entries" in payload["message"]
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["qdepth"] == 3
+    assert payload["rejections"] == [{"d": 4, "k": 2, "beta": "-999996"}]
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_qdepth_certifies_with_the_stopping_row_alone(capsys, monkeypatch, fmt):
+    def full_list(self):
+        raise AssertionError("the qdepth command read the full rejection list")
+
+    scans = []
+    rows = engine.beta_rows
+    monkeypatch.setattr(engine.QDepthResult, "rejections", property(full_list))
+    monkeypatch.setattr(engine, "beta_rows", lambda h, up_to: scans.append(up_to) or rows(h, up_to))
+    code, out, err = run_cli(capsys, "qdepth", "--seq", '{"kind":"polynomial","coeffs":[1,0,0,15]}', "--format", fmt)
+    assert (code, err, len(scans)) == (0, "", 1)
+    if fmt == "json":
+        assert json.loads(out)["rejections"] == [{"d": 8, "k": 3, "beta": "-40"}]
+    else:
+        assert [line for line in out.splitlines() if line.startswith("rejected")] == ["rejected d=8: beta[3] = -40"]
+
+
+def test_eq_bound_past_the_digit_limit_exits_3_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "eq-bound", "--n", "10000000000", "--alpha", "3")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert json.loads(err)["code"] == "domain"
 
 
 def test_closed_form_far_below_the_bound(capsys):

@@ -1,6 +1,7 @@
 """Closed-form predictions, rational thresholds, and the polynomial cap."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -130,6 +131,26 @@ def test_eq_bound_rejects_bad_input():
         eq_bound(2, "not-a-rational")
     with pytest.raises(DomainError, match="not an exact rational: 1.5"):
         as_fraction(1.5)
+
+
+def test_eq_bound_refuses_an_unprintable_power_before_building_it():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for n in (10**10, 10**400):
+            with pytest.raises(DomainError, match="more than 4300 digits"):
+                eq_bound(n, 3)
+        sys.set_int_max_str_digits(640)
+        # 2^(n+1) - 1 has 640 digits at the edge and 641 past it
+        edge = (10**640).bit_length() - 2
+        assert len(str(2 ** (edge + 1) - 1)) == 640
+        assert eq_bound(edge, 3).branch == f"alpha in (0,{2 ** (edge + 1) - 1})"
+        with pytest.raises(DomainError, match="more than 640 digits"):
+            eq_bound(edge + 1, 3)
+        sys.set_int_max_str_digits(0)  # no limit, no refusal
+        assert eq_bound(edge + 1, 3).value == 4
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_eq_bound_matches_quadratic_closed_form():

@@ -301,8 +301,9 @@ def test_rejections_over_budget_raise_before_building(row_counter):
     with pytest.raises(DomainError, match=f"need {(span + 1) * (span + 2) // 2} transform entries"):
         result.rejections
     assert row_counter["rows"] == rows
-    with pytest.raises(DomainError):
-        result.to_json_dict()
+    # the JSON form lists only the witness, so it needs no second scan
+    assert result.to_json_dict()["rejections"] == [{"d": 4, "k": 2, "beta": "-999996"}]
+    assert row_counter["rows"] == rows
 
 
 def test_rejection_budget_counts_every_row_entry(monkeypatch):

@@ -29,6 +29,7 @@ from qdepth import (
     SchemaError,
     cli,
     depth_upper_bound,
+    monomial_plus_constant,
     partition_from_json_dict,
     poset_from_json_dict,
     qdepth,
@@ -82,6 +83,26 @@ def test_lazy_rejections_match_eager_oracle_scan(h):
         k, b = next((k, b) for k, b in row if b < 0)
         eager.append(Rejection(d, k, b))
     assert result.rejections == tuple(eager)
+
+
+def _past_the_first_branch(n: int, b: int, extra: int) -> PolynomialSequence:
+    """a*j^n + b with alpha = a/b >= 2^(n+1), so the bound k0 + c lies past the depth cap 2^(n+1)."""
+    return monomial_plus_constant(b * 2 ** (n + 1) + extra, b, n)
+
+
+@oracle_settings
+@given(st.one_of(finite, st.builds(_past_the_first_branch, st.integers(1, 3), st.integers(1, 4), st.integers(0, 30))))
+def test_witness_is_the_first_negative_entry_of_the_row_after_the_depth(h):
+    result = qdepth(h)
+    q, k0, ub = result.qdepth, h.stats().k0, result.upper_bound_used
+    assert (result.witness is None) == (q == ub)
+    if isinstance(h, PolynomialSequence):
+        assert q < ub
+    if q < ub:
+        values = values_dict(h, k0, q + 1)
+        row = [(k, oracle_beta(values, k, q + 1)) for k in range(k0, q + 2)]
+        assert result.witness == Rejection(q + 1, *next((k, b) for k, b in row if b < 0))
+        assert result.witness == result.rejections[-1]
 
 
 # schema-shaped JSON values: integers stay within 60 so each example is cheap

@@ -43,7 +43,7 @@ CASES = {
     "DepthCheck": (lambda: qdepth_at_least(_worked(), 1), ("ok", "witness_k", "witness_beta")),
     "QDepthResult": (
         lambda: qdepth(PolynomialSequence([1, 0, 0, 15])),
-        ("qdepth", "accepted_table", "upper_bound_used", "sequence"),
+        ("qdepth", "accepted_table", "upper_bound_used", "sequence", "witness"),
     ),
     "BetaTable": (lambda: beta_table(_worked(), 1), ("d", "entries", "first_negative")),
     "SequenceStats": (lambda: _worked().stats(), ("k0", "kf", "h0", "h1", "c")),
