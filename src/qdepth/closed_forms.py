@@ -116,7 +116,8 @@ def eq_bound(n: int, alpha) -> PiecewisePrediction:
     steps down from 2^(n+1) to 2^n + 1 at the rational thresholds given by
     lambda_threshold.  The bound is a proven equality when floor(alpha) + 1
     is at most 4, which is what is_exact reports.  An n whose 2^(n+1) - 1
-    is past CPython's integer digit limit raises DomainError up front.
+    is past CPython's integer digit limit raises DomainError up front; a
+    threshold of the branch label past that limit raises it after the bisection.
     """
     _int(n, "n", 1)
     limit = sys.get_int_max_str_digits()
@@ -141,8 +142,13 @@ def eq_bound(n: int, alpha) -> PiecewisePrediction:
             hi = mid
         else:
             lo = mid + 1
-    low = f"[{top}" if lo == 1 else f"({lam(lo - 1)}"
-    high = "inf)" if lo == 2**n else f"{lam(lo)}]"
+    try:
+        low = f"[{top}" if lo == 1 else f"({lam(lo - 1)}"
+        high = "inf)" if lo == 2**n else f"{lam(lo)}]"
+    except ValueError:  # Fraction.__str__ on a threshold part past the digit limit
+        limit = sys.get_int_max_str_digits()
+        message = f"a threshold in the branch label has more than {limit} digits, the string conversion limit"
+        raise DomainError(message) from None
     return PiecewisePrediction(2 ** (n + 1) + 1 - lo, f"alpha in {low},{high}", exact)
 
 

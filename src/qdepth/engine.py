@@ -6,11 +6,15 @@ min(kf, k0 + c), so the search space is finite even for infinite tails.
 
 The depth is monotone in d: the rows of the transform satisfy
 row[d][k] = sum over j <= k of row[d+1][j], so a non-negative row d+1
-forces a non-negative row d.  The search therefore scans upward from k0
-and stops at the first row with a negative entry; its cost follows the
-answer, not the a-priori bound.  The result carries the accepted table,
-the first negative entry of the row where the scan stopped and, built on
-first access under a fixed entry budget, one witness for every rejection.
+forces a non-negative row d.  A geometric tail reads one row, at
+top = min(bound, k0 + ENTRY_SPAN), from its generating function, in
+O(top - k0) entries; when that row is non-negative it certifies every
+row below it.  Every other kind scans upward from k0 and stops at the
+first row with a negative entry, in O((answer - k0)^2) entries, so its
+cost follows the answer, not the a-priori bound.  The result carries the
+accepted table, the first negative entry of the row where the scan
+stopped and, built on first access under a fixed entry budget, one
+witness for every rejection.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ from functools import cached_property
 
 from .errors import DomainError
 from .records import Record
-from .sequences import ENTRY_SPAN, BetaTable, Sequence, beta_rows, beta_table, binomial, _first_negative, _index
+from .sequences import ENTRY_SPAN, BetaTable, GeometricSequence, Sequence, beta_rows, beta_table, binomial
+from .sequences import _first_negative, _index
 from .sequences import beta  # unused here, but the benchmark's tracer rebinds engine.beta
 
 
@@ -92,29 +97,35 @@ def depth_upper_bound(h: Sequence) -> int:
 
 
 def qdepth(h: Sequence) -> QDepthResult:
-    """Depth of h, by an upward scan that stops at the first negative row.
+    """Depth of h, from one row for a geometric tail and an upward scan otherwise.
 
-    Rows are built from k0 up to the a-priori cap min(kf, k0 + c).  Each
-    row holds the prefix sums of the next one, so once a row has a
-    negative entry every later row has one too: the row before the first
-    negative one is the answer, or the cap itself when no row is negative.
-    That row is kept, with the first negative entry of the next one as the
-    witness, and the work is O((answer - k0)^2) entries.
-    The row at k0 is the single positive entry h(k0), so the answer is
-    never below k0.  The scan stops at k0 + ENTRY_SPAN, and DomainError
-    is raised when no row up to there is negative but the cap lies further.
-    The full list of rejection witnesses is built on first access to the
-    result's rejections, within ENTRY_BUDGET.
+    Both stop at top = min(bound, k0 + ENTRY_SPAN), the bound being the
+    a-priori cap min(kf, k0 + c).  Each row holds the prefix sums of the
+    next, so a non-negative row certifies every row below it.  A geometric
+    tail reads row top alone (GeometricSequence.row), in O(top - k0)
+    entries, and answers top when it is non-negative.  Other kinds, and a
+    geometric row with a negative entry, scan from k0 in O((answer - k0)^2)
+    entries: the answer is the row before the first negative one, kept with
+    that row's first negative entry as the witness, or top when none is
+    negative.  The row at k0 is h(k0) alone, so the answer is never below
+    k0.  DomainError is raised when the answer is top but the bound lies
+    further.  The full list of rejection witnesses is built on first access
+    to the result's rejections, within ENTRY_BUDGET.
     """
     ub = depth_upper_bound(h)
-    top = min(ub, h.stats().k0 + ENTRY_SPAN)
+    k0 = h.stats().k0
+    top = min(ub, k0 + ENTRY_SPAN)
     witness = None
-    for d, row in beta_rows(h, top):
-        if min(row.values()) < 0:
-            k = _first_negative(row)
-            witness = Rejection(d, k, row[k])
-            break
-        q, accepted = d, row
+    # the row is built and checked rather than trusting depth = ratio, which the tests assert
+    if isinstance(h, GeometricSequence) and min(row := h.row(top)) >= 0:
+        q, accepted = top, dict(zip(range(k0, top + 1), row))
+    else:
+        for d, row in beta_rows(h, top):
+            if min(row.values()) < 0:
+                k = _first_negative(row)
+                witness = Rejection(d, k, row[k])
+                break
+            q, accepted = d, row
     if q == top < ub:
         raise DomainError(f"no negative row up to d={top}, and the bound d={ub} is past the entry budget")
     return QDepthResult(q, BetaTable(q, accepted, None), ub, h, witness)

@@ -229,6 +229,22 @@ class GeometricSequence(Sequence):
             return 0
         return self.scale * self.ratio**t
 
+    def row(self, d: int) -> list[int]:
+        """Transform values at d for k = k0..d, as a list that starts at k0.
+
+        With i = k - k0 and n = d - k0 + 1 they are the coefficients of the
+        generating function scale * (1 - u)^n / (1 - (ratio + 1) u), so
+        entry i is (ratio + 1) times entry i - 1 plus scale * (-1)^i * C(n, i):
+        d - k0 + 1 entries, with no earlier row.
+        """
+        n = _index(self, d, "row at d={}") - self.stats().k0 + 1
+        grow, term, acc, out = self.ratio + 1, self.scale, 0, []
+        for i in range(n):
+            acc = grow * acc + (-term if i % 2 else term)
+            out.append(acc)
+            term = term * (n - i) // (i + 1)
+        return out
+
     def shifted(self, m: int) -> "GeometricSequence":
         return GeometricSequence(self.scale, self.ratio, self.shift + _int(m, "shift"))
 

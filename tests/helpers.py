@@ -20,13 +20,16 @@ from fractions import Fraction
 from qdepth import FiniteSequence, GeometricSequence, PolynomialSequence, lambda_threshold
 
 
+_PASCAL = [(1,)]  # rows of the additive triangle, extended on demand
+
+
 def pascal_binomial(m: int, t: int) -> int:
     if t < 0 or t > m:
         return 0
-    row = [1]
-    for _ in range(m):
-        row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-    return row[t]
+    while len(_PASCAL) <= m:
+        row = _PASCAL[-1]
+        _PASCAL.append((1, *(row[i] + row[i + 1] for i in range(len(row) - 1)), 1))
+    return _PASCAL[m][t]
 
 
 def values_dict(h, lo: int, hi: int) -> dict:

@@ -109,7 +109,7 @@ def test_sweep_to_file(capsys, tmp_path):
     )
     assert code == 0
     assert out == ""
-    lines = out_path.read_text().strip().splitlines()
+    lines = out_path.read_text(encoding="utf-8").strip().splitlines()
     assert lines[0] == "a,b,alpha,predicted,computed,agree"
     assert lines[1] == "1,3,3,3,3,True"
     assert lines[2] == "2,3,3,3,3,True"

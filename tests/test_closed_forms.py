@@ -153,6 +153,18 @@ def test_eq_bound_refuses_an_unprintable_power_before_building_it():
         sys.set_int_max_str_digits(limit)
 
 
+def test_eq_bound_refuses_an_unprintable_branch_threshold():
+    # 2^1502 - 1 has 453 digits, but the thresholds around 2^1501 have more than 640
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(DomainError, match="a threshold in the branch label has more than 640 digits"):
+            eq_bound(1500, 2**1501)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert eq_bound(1500, 2**1501).branch.startswith("alpha in (")
+
+
 def test_eq_bound_matches_quadratic_closed_form():
     for a in range(1, 31):
         for b in range(1, 31):

@@ -4,6 +4,7 @@ import copy
 import math
 import pickle
 import random
+import time
 
 import pytest
 
@@ -256,6 +257,20 @@ def row_counter(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def geometric_rows(monkeypatch):
+    """The d of every call to GeometricSequence.row, in order."""
+    calls = []
+    original = GeometricSequence.row
+
+    def counting(self, d):
+        calls.append(d)
+        return original(self, d)
+
+    monkeypatch.setattr(GeometricSequence, "row", counting)
+    return calls
+
+
 def test_search_stops_at_first_negative_row(row_counter):
     h = monomial_plus_constant(10**12, 1, 1)
     result = qdepth(h)
@@ -264,14 +279,22 @@ def test_search_stops_at_first_negative_row(row_counter):
     assert row_counter["rows"] <= result.qdepth - h.stats().k0 + 2
 
 
-def test_search_builds_rows_up_to_answer_plus_one(row_counter):
+def test_search_builds_rows_up_to_answer_plus_one(row_counter, geometric_rows):
     rng = random.Random(101)
+    kinds = set()
     for _ in range(150):
         h = random_sequence(rng)
-        row_counter["rows"] = 0
+        kinds.add(h.kind)
+        row_counter["calls"] = row_counter["rows"] = 0
+        geometric_rows.clear()
         result = qdepth(h)
-        top = min(result.qdepth + 1, result.upper_bound_used)
-        assert row_counter["rows"] == top - h.stats().k0 + 1
+        if isinstance(h, GeometricSequence):
+            # one row at the bound, read from the generating function
+            assert (row_counter["calls"], geometric_rows) == (0, [result.upper_bound_used])
+        else:
+            top = min(result.qdepth + 1, result.upper_bound_used)
+            assert (row_counter["rows"], geometric_rows) == (top - h.stats().k0 + 1, [])
+    assert kinds == {"finite", "polynomial", "geometric"}
 
 
 def test_rejections_built_once_on_first_access(row_counter):
@@ -285,11 +308,11 @@ def test_rejections_built_once_on_first_access(row_counter):
     assert [r.d for r in first] == list(range(result.upper_bound_used, result.qdepth, -1))
 
 
-def test_rejections_empty_at_the_bound_without_a_scan(row_counter):
+def test_rejections_empty_at_the_bound_without_a_scan(row_counter, geometric_rows):
     result = qdepth(GeometricSequence(2, 7))
     assert result.qdepth == result.upper_bound_used == 7
     assert result.rejections == ()
-    assert row_counter["calls"] == 1
+    assert (row_counter["calls"], geometric_rows) == (0, [7])
 
 
 def test_rejections_over_budget_raise_before_building(row_counter):
@@ -345,12 +368,45 @@ def test_search_builds_at_most_span_plus_one_rows(row_counter):
     assert row_counter == {"calls": 1, "rows": engine.ENTRY_SPAN + 1}
 
 
-def test_search_span_caps_only_unresolved_searches(monkeypatch, row_counter):
+def test_search_span_caps_only_unresolved_searches(monkeypatch, row_counter, geometric_rows):
     monkeypatch.setattr(engine, "ENTRY_SPAN", 10)
     for shift in (-2, 0, 3):
         assert qdepth_value(GeometricSequence(1, 10, shift)) == 10 - shift
-        row_counter["rows"] = 0
+        geometric_rows.clear()
         with pytest.raises(DomainError, match=f"up to d={10 - shift}, and the bound d={11 - shift}"):
             qdepth(GeometricSequence(1, 11, shift))
-        assert row_counter["rows"] == 11
+        assert (row_counter["calls"], geometric_rows) == (0, [10 - shift])
+    # other kinds still scan every row up to the span
+    h = FiniteSequence(0, [math.comb(12, k) for k in range(13)])
+    with pytest.raises(DomainError, match="up to d=10, and the bound d=12"):
+        qdepth(h)
+    assert row_counter == {"calls": 1, "rows": 11}
     assert qdepth_value(PolynomialSequence([1, 10**6])) == 3
+    assert row_counter == {"calls": 2, "rows": 11 + 5}  # answer 3: rows 0..4
+
+
+def test_geometric_row_with_a_negative_entry_falls_back_to_the_scan(monkeypatch, row_counter):
+    tails = (GeometricSequence(2, 7), GeometricSequence(3, 12, -4), GeometricSequence(1, 1, 2))
+    expected = [qdepth(h) for h in tails]
+    original = GeometricSequence.row
+
+    def with_a_negative_entry(self, d):
+        row = original(self, d)
+        row[-1] = -1
+        return row
+
+    monkeypatch.setattr(GeometricSequence, "row", with_a_negative_entry)
+    for h, want in zip(tails, expected):
+        row_counter["calls"] = 0
+        result = qdepth(h)
+        assert result.qdepth == oracle_qdepth(h)
+        assert result == want
+        assert row_counter["calls"] == 1
+
+
+def test_geometric_refusal_past_the_span_is_fast():
+    start = time.perf_counter()
+    message = f"no negative row up to d=1998, and the bound d={10**20} is past the entry budget"
+    with pytest.raises(DomainError, match=message):
+        qdepth(GeometricSequence(1, 10**20))
+    assert time.perf_counter() - start < 1

@@ -171,6 +171,8 @@ def test_beta_table_below_support_is_an_error():
         beta_table(WORKED, -3)
     with pytest.raises(DomainError):
         list(beta_rows(WORKED, -3))
+    with pytest.raises(DomainError, match="row at d=-4 lies below the support start -3"):
+        GeometricSequence(1, 2, 3).row(-4)
 
 
 SMALL = FiniteSequence(0, [1, 2, 3])
@@ -182,6 +184,7 @@ INDEX_ARGUMENTS = {
     "beta_rows": ("table at d=", lambda v: next(beta_rows(SMALL, v))),
     "beta_table": ("table at d=", lambda v: beta_table(SMALL, v)),
     "window": ("window end ", lambda v: SMALL.window(v)),
+    "geometric-row": ("row at d=", lambda v: GeometricSequence(1, 2).row(v)),
     "qdepth_at_least": ("candidate depth ", lambda v: qdepth_at_least(SMALL, v)),
     "necessary": ("candidate depth ", lambda v: necessary_condition_holds(SMALL, v)),
     "sufficient": ("candidate depth ", lambda v: sufficient_condition_holds(SMALL, v)),
@@ -244,6 +247,16 @@ def test_beta_table_paths_agree():
         want = {k: oracle_beta(vals, k, d) for k in range(h.stats().k0, d + 1)}
         assert table.entries == want
         assert table.first_negative == next((k for k, v in want.items() if v < 0), None)
+
+
+def test_geometric_row_matches_direct_sums():
+    rng = random.Random(29)
+    # from a single entry at k0 up to 71 entries
+    for span in [0, 70] + [rng.randint(1, 69) for _ in range(40)]:
+        h = GeometricSequence(rng.randint(1, 9), rng.randint(1, 60), rng.randint(-5, 5))
+        k0 = h.stats().k0
+        vals = values_dict(h, k0, k0 + span)
+        assert h.row(k0 + span) == [oracle_beta(vals, k, k0 + span) for k in range(k0, k0 + span + 1)]
 
 
 def test_shift_examples():

@@ -26,7 +26,7 @@ def _fresh(*args: str, stdin: str | None = None) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", **ENV)
     env["PYTHONPATH"] = SRC + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else SRC
     return subprocess.run([sys.executable, *args], env=env, input=stdin, capture_output=True,
-                          text=True, timeout=60)
+                          encoding="utf-8", timeout=60)
 
 
 def _loaded_by(statement: str) -> set:
