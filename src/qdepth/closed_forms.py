@@ -10,6 +10,7 @@ a threshold are classified correctly.
 
 from __future__ import annotations
 
+import math
 import sys
 from fractions import Fraction
 
@@ -117,7 +118,7 @@ def eq_bound(n: int, alpha) -> PiecewisePrediction:
     lambda_threshold.  The bound is a proven equality when floor(alpha) + 1
     is at most 4, which is what is_exact reports.  An n whose 2^(n+1) - 1
     is past CPython's integer digit limit raises DomainError up front; a
-    threshold of the branch label past that limit raises it after the bisection.
+    threshold of the branch label past that limit raises it afterwards.
     """
     _int(n, "n", 1)
     limit = sys.get_int_max_str_digits()
@@ -132,24 +133,23 @@ def eq_bound(n: int, alpha) -> PiecewisePrediction:
     top = 2 ** (n + 1) - 1
     if alpha < top:
         return PiecewisePrediction(c, f"alpha in (0,{top})", exact)
-    # the thresholds grow strictly with i, so bisect for the first i in
-    # [1, 2^n) with alpha <= lam(i); i = 2^n means alpha lies past them all
-    lam = lambda i: lambda_threshold(n, 2**n + 1 - i)
-    lo, hi = 1, 2**n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if alpha <= lam(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    try:
-        low = f"[{top}" if lo == 1 else f"({lam(lo - 1)}"
-        high = "inf)" if lo == 2**n else f"{lam(lo)}]"
+    # with x = m - 1 and K = 4^n - 2^n + 2, lambda_threshold(n, m) = (x + K/x + top) / 2 falls as
+    # x grows on [1, 2^n - 1], where x^2 < K, so alpha = p/q lies at or below it while x is at most
+    # the smaller root of q x^2 - b x + K q, b = 2p - top q; isqrt rounds down, so the quotient may be one over
+    q, big_k, x_max = alpha.denominator, 4**n - 2**n + 2, 2**n - 1
+    b = 2 * alpha.numerator - top * q
+    disc = b * b - 4 * big_k * q * q
+    x = x_max if disc < 0 else min((b - math.isqrt(disc)) // (2 * q), x_max)
+    if x > 0 and q * x * x - b * x + big_k * q < 0:
+        x -= 1
+    try:  # the branch is (lambda(x + 2), lambda(x + 1)], where the bound is 2^n + x + 1
+        low = f"[{top}" if x == x_max else f"({lambda_threshold(n, x + 2)}"
+        high = "inf)" if x == 0 else f"{lambda_threshold(n, x + 1)}]"
     except ValueError:  # Fraction.__str__ on a threshold part past the digit limit
         limit = sys.get_int_max_str_digits()
         message = f"a threshold in the branch label has more than {limit} digits, the string conversion limit"
         raise DomainError(message) from None
-    return PiecewisePrediction(2 ** (n + 1) + 1 - lo, f"alpha in {low},{high}", exact)
+    return PiecewisePrediction(2**n + x + 1, f"alpha in {low},{high}", exact)
 
 
 def polynomial_upper_bound(degree: int) -> int:

@@ -12,14 +12,11 @@ O(top - k0) entries; when that row is non-negative it certifies every
 row below it.  Every other kind scans upward from k0 and stops at the
 first row with a negative entry, in O((answer - k0)^2) entries, so its
 cost follows the answer, not the a-priori bound.  The result carries the
-accepted table, the first negative entry of the row where the scan
-stopped and, built on first access under a fixed entry budget, one
-witness for every rejection.
+accepted table and the first negative entry of the row where the scan
+stopped, which rules out every larger candidate.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 from .errors import DomainError
 from .records import Record
@@ -52,31 +49,15 @@ class QDepthResult(Record):
     """Depth of a sequence, its accepted table, the search bound and a witness.
 
     witness is the first negative entry of row qdepth + 1, where the search
-    stopped, or None when qdepth is the bound.  rejections holds one
-    Rejection for every d from upper_bound_used down to qdepth + 1, with k
-    the smallest negative index, so witness is its last entry.  It is
-    computed on first access by a second scan of the rows up to the bound,
-    and raises DomainError when that scan would exceed ENTRY_BUDGET
-    entries.  Equality, repr, pickling and copying never compute it.
+    stopped, or None when qdepth is the bound.  Row d holds the prefix sums
+    of row d + 1, so that one entry rules out every d above qdepth;
+    qdepth_at_least(h, d) gives the witness of any other rejected d.
     """
 
     qdepth: int
     accepted_table: BetaTable
     upper_bound_used: int
-    sequence: Sequence
     witness: Rejection | None
-
-    @cached_property
-    def rejections(self) -> tuple[Rejection, ...]:
-        q, ub = self.qdepth, self.upper_bound_used
-        if q == ub:
-            return ()
-        found = []
-        for d, row in beta_rows(self.sequence, ub):
-            if d > q:
-                k = _first_negative(row)
-                found.append(Rejection(d, k, row[k]))
-        return tuple(reversed(found))
 
     def to_json_dict(self) -> dict:
         return {
@@ -109,8 +90,7 @@ def qdepth(h: Sequence) -> QDepthResult:
     that row's first negative entry as the witness, or top when none is
     negative.  The row at k0 is h(k0) alone, so the answer is never below
     k0.  DomainError is raised when the answer is top but the bound lies
-    further.  The full list of rejection witnesses is built on first access
-    to the result's rejections, within ENTRY_BUDGET.
+    further.
     """
     ub = depth_upper_bound(h)
     k0 = h.stats().k0
@@ -128,7 +108,7 @@ def qdepth(h: Sequence) -> QDepthResult:
             q, accepted = d, row
     if q == top < ub:
         raise DomainError(f"no negative row up to d={top}, and the bound d={ub} is past the entry budget")
-    return QDepthResult(q, BetaTable(q, accepted, None), ub, h, witness)
+    return QDepthResult(q, BetaTable(q, accepted, None), ub, witness)
 
 
 def qdepth_value(h: Sequence) -> int:

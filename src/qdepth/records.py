@@ -6,7 +6,8 @@ an __init__ that stores the fields and then calls __post_init__, if the
 class has one (it validates and normalises through object.__setattr__),
 and _values, the tuple of field values.  Instances compare, hash, print,
 pickle and copy by their fields and refuse assignment and deletion;
-attributes set beside the fields, like caches, take no part in that.
+attributes that __post_init__ sets beside the fields, like support
+stats, take no part in that.
 """
 
 from __future__ import annotations

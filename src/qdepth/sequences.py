@@ -292,13 +292,14 @@ def beta(h: Sequence, k: int, d: int) -> int:
     """The alternating binomial transform of h at (k, d).
 
     This is the signed sum over j of binomial(d - j, k - j) * h(j); terms
-    below the support start vanish, so j runs over [k0, k].
+    outside the support vanish, so j runs over [k0, min(k, support end)].
     """
     if _int(k, "k") > _int(d, "d"):
         raise DomainError(f"transform requires k <= d, got k={k}, d={d}")
     k0 = h.stats().k0
+    end = min(k, h.support_end) if isinstance(h, FiniteSequence) else k
     total = 0
-    for j in range(k0, k + 1):
+    for j in range(k0, end + 1):
         term = binomial(d - j, k - j) * h.value_at(j)
         if (k - j) % 2:
             total -= term

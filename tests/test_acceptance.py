@@ -13,6 +13,7 @@ from qdepth import (
     FiniteSequence,
     GeometricSequence,
     Poset,
+    Rejection,
     add,
     arithmetic_qdepth,
     beta,
@@ -153,13 +154,16 @@ def _property_rejection_witnesses():
     for _ in range(500):
         h = random_sequence(rng)
         result = qdepth(h)
-        expected = list(range(result.upper_bound_used, result.qdepth, -1))
-        assert [r.d for r in result.rejections] == expected
-        for r in result.rejections:
-            assert r.k <= r.d
-            assert r.beta < 0
-            assert beta(h, r.k, r.d) == r.beta
-            assert not qdepth_at_least(h, r.d).ok
+        q, ub = result.qdepth, result.upper_bound_used
+        assert (result.witness is None) == (q == ub)
+        for d in range(q + 1, ub + 1):
+            check = qdepth_at_least(h, d)
+            assert not check.ok
+            assert check.witness_k <= d
+            assert check.witness_beta < 0
+            assert beta(h, check.witness_k, d) == check.witness_beta
+            if d == q + 1:
+                assert result.witness == Rejection(d, check.witness_k, check.witness_beta)
 
 
 def _property_bounds():

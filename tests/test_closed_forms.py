@@ -205,6 +205,18 @@ def test_eq_bound_work_is_linear_in_n(monkeypatch):
         assert 0 < len(calls) <= 2 * 40 + 2
 
 
+def test_eq_bound_finds_its_branch_without_a_threshold_search(monkeypatch):
+    # the branch comes from one integer square root; only the label's two thresholds are built
+    calls = []
+    real = closed_forms.lambda_threshold
+    monkeypatch.setattr(closed_forms, "lambda_threshold", lambda n, m: calls.append(m) or real(n, m))
+    got = eq_bound(6000, 2**6001)
+    assert len(calls) <= 2
+    m = calls[-1]  # the branch is (lambda(m + 1), lambda(m)], where the bound is 2^n + m
+    assert real(6000, m + 1) < 2**6001 <= real(6000, m)
+    assert got.value == 2**6000 + m
+
+
 def test_compare_alpha1():
     assert compare_alpha1(Fraction(7, 2), 1) == 0
     assert compare_alpha1(3, 1) == -1

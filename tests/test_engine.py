@@ -39,7 +39,7 @@ def test_qdepth_worked_example():
     assert result.qdepth == 3
     assert result.upper_bound_used == 3
     assert result.accepted_table.entries == {1: 2, 2: 0, 3: 5}
-    assert result.rejections == ()
+    assert result.witness is None
     assert qdepth_value(WORKED) == 0
 
 
@@ -80,16 +80,20 @@ def test_result_certificates():
         h = random_sequence(rng)
         st = h.stats()
         result = qdepth(h)
-        ub = depth_upper_bound(h)
+        q, ub = result.qdepth, depth_upper_bound(h)
         assert result.upper_bound_used == ub
-        assert st.k0 <= result.qdepth <= ub
+        assert st.k0 <= q <= ub
         assert result.accepted_table.first_negative is None
         assert all(v >= 0 for v in result.accepted_table.entries.values())
-        assert sorted(r.d for r in result.rejections) == list(range(result.qdepth + 1, ub + 1))
-        for r in result.rejections:
-            assert r.beta < 0
-            assert r.k <= r.d
-            assert beta(h, r.k, r.d) == r.beta
+        assert (result.witness is None) == (q == ub)
+        for d in range(q + 1, ub + 1):
+            check = qdepth_at_least(h, d)
+            assert not check.ok
+            assert check.witness_k <= d
+            assert check.witness_beta < 0
+            assert beta(h, check.witness_k, d) == check.witness_beta
+            if d == q + 1:
+                assert result.witness == engine.Rejection(d, check.witness_k, check.witness_beta)
 
 
 def test_qdepth_at_least_examples():
@@ -297,47 +301,6 @@ def test_search_builds_rows_up_to_answer_plus_one(row_counter, geometric_rows):
     assert kinds == {"finite", "polynomial", "geometric"}
 
 
-def test_rejections_built_once_on_first_access(row_counter):
-    h = PolynomialSequence([1, 0, 0, 15])
-    result = qdepth(h)
-    assert row_counter["calls"] == 1
-    first = result.rejections
-    assert row_counter["calls"] == 2
-    assert result.rejections is first
-    assert row_counter["calls"] == 2
-    assert [r.d for r in first] == list(range(result.upper_bound_used, result.qdepth, -1))
-
-
-def test_rejections_empty_at_the_bound_without_a_scan(row_counter, geometric_rows):
-    result = qdepth(GeometricSequence(2, 7))
-    assert result.qdepth == result.upper_bound_used == 7
-    assert result.rejections == ()
-    assert (row_counter["calls"], geometric_rows) == (0, [7])
-
-
-def test_rejections_over_budget_raise_before_building(row_counter):
-    h = PolynomialSequence([1, 10**6])
-    result = qdepth(h)
-    assert result.qdepth == 3
-    span = result.upper_bound_used - h.stats().k0
-    rows = row_counter["rows"]
-    with pytest.raises(DomainError, match=f"need {(span + 1) * (span + 2) // 2} transform entries"):
-        result.rejections
-    assert row_counter["rows"] == rows
-    # the JSON form lists only the witness, so it needs no second scan
-    assert result.to_json_dict()["rejections"] == [{"d": 4, "k": 2, "beta": "-999996"}]
-    assert row_counter["rows"] == rows
-
-
-def test_rejection_budget_counts_every_row_entry(monkeypatch):
-    # a*j + 1 has k0 = 0 and bound a + 1; the scan over rows 0..span holds
-    # (span + 1)(span + 2) / 2 entries, 21 at span 5 and 28 at span 6
-    monkeypatch.setattr("qdepth.sequences.ENTRY_BUDGET", 21)
-    assert qdepth(monomial_plus_constant(4, 1, 1)).rejections == (engine.Rejection(5, 2, -1),)
-    with pytest.raises(DomainError, match="need 28 transform entries, over the budget of 21"):
-        qdepth(monomial_plus_constant(5, 1, 1)).rejections
-
-
 def test_result_value_semantics_do_not_force_rejections(row_counter):
     h = PolynomialSequence([1, 0, 0, 15])
     result = qdepth(h)
@@ -347,11 +310,8 @@ def test_result_value_semantics_do_not_force_rejections(row_counter):
     assert result != qdepth(h.scaled(2))
     for twin in (pickle.loads(pickle.dumps(result)), copy.deepcopy(result)):
         assert twin == result
-        assert twin.sequence == h
+        assert twin.witness == result.witness == engine.Rejection(8, 3, -40)
     assert row_counter["calls"] == 3
-    twin = pickle.loads(pickle.dumps(result))
-    assert twin.rejections == result.rejections
-    assert row_counter["calls"] == 5
 
 
 def test_search_span_is_the_largest_within_the_entry_budget():

@@ -279,6 +279,54 @@ def test_sdepth_never_exceeds_poset_depth():
         assert sdepth_bruteforce(poset).sdepth <= poset_qdepth(poset).qdepth
 
 
+def test_squarefree_veronese_depth():
+    # P_{n,k}, all subsets of [n] with at least k elements: Cimpoeas's k + (n - k) // (k + 1)
+    for n in range(1, 11):
+        for k in range(1, n + 1):
+            poset = Poset(n, frozenset(m for m in range(1 << n) if m.bit_count() >= k))
+            assert poset_qdepth(poset).qdepth == k + (n - k) // (k + 1), (n, k)
+
+
+def _upsets(n: int) -> list:
+    """Every up-set of subsets of [n], the empty one included, as frozensets of masks.
+
+    An up-set over [n] is a pair U0 <= U1 of up-sets over [n - 1]: the sets
+    without element n, and the sets with it, with n removed.
+    """
+    if n == 0:
+        return [frozenset(), frozenset({0})]
+    smaller, bit = _upsets(n - 1), 1 << (n - 1)
+    return [low | {m | bit for m in high} for high in smaller for low in smaller if low <= high]
+
+
+def test_no_sdepth_gap_among_upsets_over_four():
+    upsets = [u for u in _upsets(4) if u]
+    assert len(upsets) == 167
+    for sets in upsets:
+        poset = Poset(4, sets)
+        assert sdepth_bruteforce(poset, cap=len(poset)).sdepth == poset_qdepth(poset).qdepth, sorted(sets)
+
+
+def test_sdepth_census_of_upsets_over_five():
+    upsets = [u for u in _upsets(5) if u]
+    assert len(upsets) == 7580
+    gaps = []
+    for sets in upsets:
+        poset = Poset(5, sets)
+        gap = poset_qdepth(poset).qdepth - sdepth_bruteforce(poset, cap=len(poset)).sdepth
+        assert gap in (0, 1), sorted(sets)
+        if gap:
+            gaps.append(sets)
+    assert len(gaps) == 670
+    generators = [[1, 2, 3], [1, 2, 4], [1, 3, 4], [1, 2, 5], [1, 3, 5], [2, 3, 4, 5]]
+    masks = [mask_from_elements(g, 5) for g in generators]
+    example = frozenset(m for m in range(32) if any(m & g == g for g in masks))
+    assert example in gaps
+    poset = Poset(5, example)
+    assert (len(poset), poset.level_counts()) == (11, {3: 5, 4: 5, 5: 1})
+    assert (poset_qdepth(poset).qdepth, sdepth_bruteforce(poset).sdepth) == (4, 3)
+
+
 def _families(rng, n: int, count: int):
     for _ in range(count):
         sets = [m for m in range(1 << n) if rng.random() < 0.5]

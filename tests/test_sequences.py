@@ -27,6 +27,7 @@ from qdepth import (
     sequence_from_json_dict,
     sufficient_condition_holds,
 )
+from qdepth import sequences
 
 WORKED = FiniteSequence(-2, [2, 4, 7, 3, 1])
 
@@ -140,6 +141,16 @@ def test_beta_requires_k_at_most_d():
 
 def test_beta_below_support_vanishes():
     assert beta(WORKED, -5, 2) == 0
+
+
+def test_beta_of_a_finite_sequence_sums_only_over_its_support(monkeypatch):
+    calls = []
+    real = sequences.binomial
+    monkeypatch.setattr(sequences, "binomial", lambda m, t: calls.append((m, t)) or real(m, t))
+    h = FiniteSequence(0, [1, 2])
+    value = beta(h, 50, 100)
+    assert len(calls) <= 2
+    assert value == oracle_beta(values_dict(h, 0, 1), 50, 100)
 
 
 def test_beta_table_worked_example():
