@@ -16,7 +16,7 @@ import importlib
 _EXPORTS = {
     "closed_forms": "PiecewisePrediction arithmetic_qdepth as_fraction compare_alpha1 eq_bound geometric_qdepth "
                     "lambda_threshold monomial_plus_constant polynomial_upper_bound quadratic_qdepth",
-    "engine": "DepthCheck QDepthResult Rejection depth_upper_bound necessary_condition_holds qdepth qdepth_at_least "
+    "engine": "DepthCheck QDepthResult depth_upper_bound necessary_condition_holds qdepth qdepth_at_least "
               "qdepth_value sufficient_condition_holds",
     "errors": "DomainError SchemaError",
     "posets": "IntervalPartition Poset RealizationResult SdepthResult ValidationReport elements_from_mask "

@@ -12,8 +12,8 @@ O(top - k0) entries; when that row is non-negative it certifies every
 row below it.  Every other kind scans upward from k0 and stops at the
 first row with a negative entry, in O((answer - k0)^2) entries, so its
 cost follows the answer, not the a-priori bound.  The result carries the
-accepted table and the first negative entry of the row where the scan
-stopped, which rules out every larger candidate.
+accepted table and the DepthCheck of the row where the scan stopped,
+whose first negative entry rules out every larger candidate.
 """
 
 from __future__ import annotations
@@ -25,21 +25,14 @@ from .sequences import _first_negative, _index
 from .sequences import beta  # unused here, but the benchmark's tracer rebinds engine.beta
 
 
-class Rejection(Record):
-    """A candidate depth d ruled out by the negative value beta at index k."""
-
-    d: int
-    k: int
-    beta: int
-
-
 class DepthCheck(Record):
-    """Outcome of testing one candidate depth.
+    """Outcome of testing candidate depth d by reading row d.
 
     When ok is False, witness_k is the smallest index whose transform value
-    is negative and witness_beta is that value.
+    is negative in row d and witness_beta is that value.
     """
 
+    d: int
     ok: bool
     witness_k: int | None = None
     witness_beta: int | None = None
@@ -48,22 +41,22 @@ class DepthCheck(Record):
 class QDepthResult(Record):
     """Depth of a sequence, its accepted table, the search bound and a witness.
 
-    witness is the first negative entry of row qdepth + 1, where the search
+    witness == qdepth_at_least(h, qdepth + 1), the row where the search
     stopped, or None when qdepth is the bound.  Row d holds the prefix sums
-    of row d + 1, so that one entry rules out every d above qdepth;
-    qdepth_at_least(h, d) gives the witness of any other rejected d.
+    of row d + 1, so its first negative entry rules out every d above
+    qdepth; qdepth_at_least(h, d) gives the witness of any other rejected d.
     """
 
     qdepth: int
     accepted_table: BetaTable
     upper_bound_used: int
-    witness: Rejection | None
+    witness: DepthCheck | None
 
     def to_json_dict(self) -> dict:
         return {
             "qdepth": self.qdepth,
             "upper_bound": self.upper_bound_used,
-            "rejections": [{"d": r.d, "k": r.k, "beta": str(r.beta)} for r in [self.witness] if r is not None],
+            "rejections": [{"d": w.d, "k": w.witness_k, "beta": str(w.witness_beta)} for w in [self.witness] if w],
             "table": {str(k): str(v) for k, v in self.accepted_table.entries.items()},
         }
 
@@ -87,23 +80,25 @@ def qdepth(h: Sequence) -> QDepthResult:
     entries, and answers top when it is non-negative.  Other kinds, and a
     geometric row with a negative entry, scan from k0 in O((answer - k0)^2)
     entries: the answer is the row before the first negative one, kept with
-    that row's first negative entry as the witness, or top when none is
-    negative.  The row at k0 is h(k0) alone, so the answer is never below
-    k0.  DomainError is raised when the answer is top but the bound lies
-    further.
+    that row's DepthCheck as the witness, or top when none is negative.
+    The row at k0 is h(k0) alone, so the answer is never below k0.
+    DomainError is raised when the answer is top but the bound lies
+    further: before any row is built for a geometric tail.
     """
     ub = depth_upper_bound(h)
     k0 = h.stats().k0
     top = min(ub, k0 + ENTRY_SPAN)
     witness = None
-    # the row is built and checked rather than trusting depth = ratio, which the tests assert
-    if isinstance(h, GeometricSequence) and min(row := h.row(top)) >= 0:
+    # a geometric depth is the bound (the ratio): past top it is refused below, else its row is checked
+    if isinstance(h, GeometricSequence) and top < ub:
+        q = top
+    elif isinstance(h, GeometricSequence) and min(row := h.row(top)) >= 0:
         q, accepted = top, dict(zip(range(k0, top + 1), row))
     else:
         for d, row in beta_rows(h, top):
             if min(row.values()) < 0:
                 k = _first_negative(row)
-                witness = Rejection(d, k, row[k])
+                witness = DepthCheck(d, False, k, row[k])
                 break
             q, accepted = d, row
     if q == top < ub:
@@ -119,7 +114,7 @@ def qdepth_at_least(h: Sequence, d: int) -> DepthCheck:
     """Test one candidate depth by reading row d of the transform, built within ENTRY_BUDGET."""
     table = beta_table(h, _index(h, d, "candidate depth {}"))
     k = table.first_negative
-    return DepthCheck(k is None, k, table.entries.get(k))
+    return DepthCheck(d, k is None, k, table.entries.get(k))
 
 
 def necessary_condition_holds(h: Sequence, d: int) -> bool:

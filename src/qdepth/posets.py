@@ -26,21 +26,14 @@ Interval = tuple[int, int]
 def mask_from_elements(elements: Iterable[int], n: int) -> int:
     mask = 0
     for e in elements:
-        if isinstance(e, bool) or not isinstance(e, int) or not 1 <= e <= n:
+        if not 1 <= _int(e, "element") <= n:
             raise DomainError(f"element {e!r} is outside the ground set [1, {n}]")
         mask |= 1 << (e - 1)
     return mask
 
 
-def _mask(value) -> int:
-    """value itself when it is a set mask, a non-negative int; DomainError otherwise."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise DomainError(f"set mask must be a non-negative integer, got {value!r}")
-    return value
-
-
 def elements_from_mask(mask: int) -> tuple[int, ...]:
-    _mask(mask)
+    _int(mask, "set mask", 0)
     out = []
     i = 1
     while mask:
@@ -66,6 +59,12 @@ def interval_members(bottom: int, top: int) -> Iterable[int]:
         yield bottom | sub
 
 
+def _ground_size(n: int) -> int:
+    if not 1 <= _int(n, "ground size") <= MAX_GROUND_SIZE:
+        raise DomainError(f"ground size must lie in [1, {MAX_GROUND_SIZE}], got {n}")
+    return n
+
+
 class Poset(Record):
     """A nonempty family of distinct subsets of [n], n at most 63."""
 
@@ -73,18 +72,18 @@ class Poset(Record):
     sets: frozenset
 
     def __post_init__(self):
-        if not 1 <= _int(self.n, "ground size") <= MAX_GROUND_SIZE:
-            raise DomainError(f"ground size must lie in [1, {MAX_GROUND_SIZE}], got {self.n}")
+        _ground_size(self.n)
         object.__setattr__(self, "sets", frozenset(self.sets))
         if not self.sets:
             raise DomainError("family must be nonempty")
         for mask in self.sets:
-            if _mask(mask) >> self.n:
+            if _int(mask, "set mask", 0) >> self.n:
                 raise DomainError(f"set {elements_from_mask(mask)} exceeds the ground set [1, {self.n}]")
 
     @classmethod
     def from_iterables(cls, n: int, families: Iterable[Iterable[int]]) -> "Poset":
-        return cls(n, frozenset(mask_from_elements(f, n) for f in families))
+        # n is checked before each mask is built, so a huge n cannot build a huge mask
+        return cls(n, frozenset(mask_from_elements(f, _ground_size(n)) for f in families))
 
     def level_counts(self) -> dict:
         counts: dict[int, int] = {}
@@ -121,7 +120,8 @@ class IntervalPartition(Record):
     intervals: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "intervals", tuple((_mask(c), _mask(d)) for c, d in self.intervals))
+        bounds = tuple((_int(c, "set mask", 0), _int(d, "set mask", 0)) for c, d in self.intervals)
+        object.__setattr__(self, "intervals", bounds)
 
     @property
     def sdepth(self) -> int:
@@ -359,9 +359,7 @@ def _fresh_level_singletons(counts: Mapping[int, int], base: int, pool_size: int
     intervals = []
     for k in sorted(counts):
         for combo in islice(combinations(pool, k), counts[k]):
-            mask = 0
-            for e in combo:
-                mask |= 1 << (e - 1)
+            mask = mask_from_elements(combo, base + pool_size)
             intervals.append((mask, mask))
     return intervals
 
@@ -426,14 +424,11 @@ def poset_from_json_dict(obj) -> Poset:
         raise SchemaError("poset: expected a JSON object")
     if set(obj) != {"n", "sets"}:
         raise SchemaError('poset: expected exactly the keys "n" and "sets"')
-    n = obj["n"]
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise SchemaError("poset: n must be an integer")
     raw = obj["sets"]
     if not isinstance(raw, list) or not all(isinstance(s, list) for s in raw):
         raise SchemaError("poset: sets must be a list of element lists")
     try:
-        return Poset.from_iterables(n, raw)
+        return Poset.from_iterables(obj["n"], raw)
     except DomainError as e:
         raise SchemaError(f"invalid poset: {e}") from None
 

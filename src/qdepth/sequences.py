@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
 from .errors import DomainError, SchemaError
 from .records import Record
@@ -90,17 +90,6 @@ class Sequence(Record):
         return out
 
 
-def _checked_values(values: Iterable[int], what: str) -> list[int]:
-    out = []
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise DomainError(f"{what} must be integers, got {v!r}")
-        if v < 0:
-            raise DomainError(f"{what} must be non-negative, got {v}")
-        out.append(v)
-    return out
-
-
 def _int(v: int, what: str, least: int | None = None) -> int:
     """v itself when it is an int, not a bool, and at least `least`; DomainError otherwise."""
     if isinstance(v, bool) or not isinstance(v, int):
@@ -131,7 +120,7 @@ class FiniteSequence(Sequence):
 
     def __post_init__(self):
         _int(self.offset, "offset")
-        vals = _checked_values(self.values, "values")
+        vals = [_int(v, "values", 0) for v in self.values]
         if not any(vals):
             raise DomainError("sequence must not be identically zero")
         lo = next(i for i, v in enumerate(vals) if v)
@@ -176,7 +165,7 @@ class PolynomialSequence(Sequence):
 
     def __post_init__(self):
         _int(self.shift, "shift")
-        cs = _checked_values(self.coeffs, "coeffs")
+        cs = [_int(a, "coeffs", 0) for a in self.coeffs]
         if not cs:
             raise DomainError("coeffs must be nonempty")
         if cs[0] < 1:
@@ -237,7 +226,10 @@ class GeometricSequence(Sequence):
         entry i is (ratio + 1) times entry i - 1 plus scale * (-1)^i * C(n, i):
         d - k0 + 1 entries, with no earlier row.
         """
-        n = _index(self, d, "row at d={}") - self.stats().k0 + 1
+        k0 = self.stats().k0
+        if _index(self, d, "row at d={}") - k0 > ENTRY_SPAN:
+            raise DomainError(f"row at d={d} lies more than {ENTRY_SPAN} above the support start {k0}")
+        n = d - k0 + 1
         grow, term, acc, out = self.ratio + 1, self.scale, 0, []
         for i in range(n):
             acc = grow * acc + (-term if i % 2 else term)
@@ -293,19 +285,18 @@ def beta(h: Sequence, k: int, d: int) -> int:
 
     This is the signed sum over j of binomial(d - j, k - j) * h(j); terms
     outside the support vanish, so j runs over [k0, min(k, support end)].
+    Before any term, DomainError refuses a call whose largest binomial,
+    C(d - k0, k - k0), may pass ENTRY_SPAN * bit_length(ENTRY_SPAN) = 21,978
+    bits by the bound min(d - k0, min(k - k0, d - k) * bit_length(d - k0)).
     """
     if _int(k, "k") > _int(d, "d"):
         raise DomainError(f"transform requires k <= d, got k={k}, d={d}")
     k0 = h.stats().k0
+    bits, limit = min(d - k0, min(k - k0, d - k) * (d - k0).bit_length()), ENTRY_SPAN * ENTRY_SPAN.bit_length()
+    if bits > limit:
+        raise DomainError(f"transform at k={k}, d={d} may need {bits}-bit binomials, over the limit of {limit}")
     end = min(k, h.support_end) if isinstance(h, FiniteSequence) else k
-    total = 0
-    for j in range(k0, end + 1):
-        term = binomial(d - j, k - j) * h.value_at(j)
-        if (k - j) % 2:
-            total -= term
-        else:
-            total += term
-    return total
+    return sum((-1) ** (k - j) * binomial(d - j, k - j) * h.value_at(j) for j in range(k0, end + 1))
 
 
 def beta_rows(h: Sequence, up_to: int) -> Iterator[tuple[int, dict]]:

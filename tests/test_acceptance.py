@@ -13,7 +13,6 @@ from qdepth import (
     FiniteSequence,
     GeometricSequence,
     Poset,
-    Rejection,
     add,
     arithmetic_qdepth,
     beta,
@@ -163,7 +162,7 @@ def _property_rejection_witnesses():
             assert check.witness_beta < 0
             assert beta(h, check.witness_k, d) == check.witness_beta
             if d == q + 1:
-                assert result.witness == Rejection(d, check.witness_k, check.witness_beta)
+                assert result.witness == check
 
 
 def _property_bounds():

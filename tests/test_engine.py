@@ -93,7 +93,7 @@ def test_result_certificates():
             assert check.witness_beta < 0
             assert beta(h, check.witness_k, d) == check.witness_beta
             if d == q + 1:
-                assert result.witness == engine.Rejection(d, check.witness_k, check.witness_beta)
+                assert result.witness == check
 
 
 def test_qdepth_at_least_examples():
@@ -128,7 +128,7 @@ def test_qdepth_at_least_reads_rows_not_direct_sums(monkeypatch):
     monkeypatch.setattr(sequences, "beta", direct_sum)
     monkeypatch.setattr(engine, "beta", direct_sum)
     check = qdepth_at_least(GeometricSequence(1, 10**6), 400)
-    assert check == engine.DepthCheck(True)
+    assert check == engine.DepthCheck(400, True)
     check = qdepth_at_least(PolynomialSequence([1, 0, 0, 15]), 16)
     assert (check.ok, check.witness_k, check.witness_beta) == (False, 3, -168)
 
@@ -310,7 +310,7 @@ def test_result_value_semantics_do_not_force_rejections(row_counter):
     assert result != qdepth(h.scaled(2))
     for twin in (pickle.loads(pickle.dumps(result)), copy.deepcopy(result)):
         assert twin == result
-        assert twin.witness == result.witness == engine.Rejection(8, 3, -40)
+        assert twin.witness == result.witness == engine.DepthCheck(8, False, 3, -40)
     assert row_counter["calls"] == 3
 
 
@@ -335,7 +335,7 @@ def test_search_span_caps_only_unresolved_searches(monkeypatch, row_counter, geo
         geometric_rows.clear()
         with pytest.raises(DomainError, match=f"up to d={10 - shift}, and the bound d={11 - shift}"):
             qdepth(GeometricSequence(1, 11, shift))
-        assert (row_counter["calls"], geometric_rows) == (0, [10 - shift])
+        assert (row_counter["calls"], geometric_rows) == (0, [])
     # other kinds still scan every row up to the span
     h = FiniteSequence(0, [math.comb(12, k) for k in range(13)])
     with pytest.raises(DomainError, match="up to d=10, and the bound d=12"):
@@ -370,3 +370,22 @@ def test_geometric_refusal_past_the_span_is_fast():
     with pytest.raises(DomainError, match=message):
         qdepth(GeometricSequence(1, 10**20))
     assert time.perf_counter() - start < 1
+
+
+def test_geometric_bound_past_the_span_is_refused_without_a_row(geometric_rows):
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match=f"no negative row up to d=1998, and the bound d={10**300} is past"):
+        qdepth(GeometricSequence(1, 10**300))
+    assert time.perf_counter() - start < 0.1
+    assert geometric_rows == []
+
+
+def test_geometric_row_past_the_span_is_refused_before_it_is_built():
+    h = GeometricSequence(1, 1, 3)  # k0 = -3
+    assert len(h.row(-3 + engine.ENTRY_SPAN)) == engine.ENTRY_SPAN + 1
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="row at d=1996 lies more than 1998 above the support start -3"):
+        h.row(-3 + engine.ENTRY_SPAN + 1)
+    with pytest.raises(DomainError, match="row at d=100000 lies more than 1998"):
+        h.row(10**5)
+    assert time.perf_counter() - start < 0.01

@@ -1,6 +1,7 @@
 """Families of subsets, interval partitions, search, and realization."""
 
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -74,7 +75,7 @@ def test_poset_validation():
         Poset(2, frozenset())
     with pytest.raises(DomainError, match="ground size must be an integer"):
         Poset(2.0, frozenset({1}))
-    with pytest.raises(DomainError, match="set mask must be a non-negative integer, got -1"):
+    with pytest.raises(DomainError, match="set mask must be at least 0, got -1"):
         Poset(2, frozenset({-1}))
     with pytest.raises(DomainError):
         Poset(2, frozenset({8}))
@@ -83,18 +84,41 @@ def test_poset_validation():
 
 
 @pytest.mark.parametrize(
-    "bounds", [(-1, 3), (1, -3), (1.9, 3.7), (True, 3), ("1", "3")],
+    "bounds, message",
+    [
+        ((-1, 3), "at least 0, got -1"),
+        ((1, -3), "at least 0, got -3"),
+        ((1.9, 3.7), "an integer, got 1.9"),
+        ((True, 3), "an integer, got True"),
+        (("1", "3"), "an integer, got '1'"),
+    ],
     ids=["negative", "negative-top", "float", "bool", "string"],
 )
-def test_interval_bounds_must_be_set_masks(bounds):
-    with pytest.raises(DomainError, match="set mask must be a non-negative integer"):
+def test_interval_bounds_must_be_set_masks(bounds, message):
+    with pytest.raises(DomainError, match=re.escape(f"set mask must be {message}")):
         IntervalPartition(Poset(3, frozenset({1, 3})), [bounds])
 
 
 def test_elements_from_mask_refuses_a_negative_mask():
     assert elements_from_mask(0b1011) == (1, 2, 4)
-    with pytest.raises(DomainError, match="set mask must be a non-negative integer, got -1"):
+    with pytest.raises(DomainError, match="set mask must be at least 0, got -1"):
         elements_from_mask(-1)
+
+
+@pytest.mark.parametrize("element", ["1", 1.0, True], ids=["string", "float", "bool"])
+def test_poset_elements_must_be_integers(element):
+    with pytest.raises(DomainError, match=re.escape(f"element must be an integer, got {element!r}")):
+        Poset.from_iterables(3, [[element]])
+    with pytest.raises(DomainError, match=re.escape(f"element must be an integer, got {element!r}")):
+        mask_from_elements([2, element], 3)
+
+
+def test_ground_size_is_checked_before_any_mask_is_built():
+    # a mask for element 10**29 would need 10**29 bits
+    with pytest.raises(DomainError, match="ground size must lie in"):
+        Poset.from_iterables(10**30, [[10**29]])
+    with pytest.raises(DomainError, match="ground size must be an integer, got '3'"):
+        Poset.from_iterables("3", [[1]])
 
 
 def test_poset_qdepth_examples():

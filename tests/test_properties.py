@@ -22,10 +22,10 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import oracle_beta, oracle_qdepth, values_dict
 from qdepth import (
+    DepthCheck,
     FiniteSequence,
     GeometricSequence,
     PolynomialSequence,
-    Rejection,
     SchemaError,
     cli,
     depth_upper_bound,
@@ -87,7 +87,8 @@ def test_witness_is_the_first_negative_entry_of_the_row_after_the_depth(h):
     if q < ub:
         values = values_dict(h, k0, q + 1)
         row = [(k, oracle_beta(values, k, q + 1)) for k in range(k0, q + 2)]
-        assert result.witness == Rejection(q + 1, *next((k, b) for k, b in row if b < 0))
+        first = next((k, b) for k, b in row if b < 0)
+        assert result.witness == qdepth_at_least(h, q + 1) == DepthCheck(q + 1, False, *first)
 
 
 # schema-shaped JSON values: integers stay within 60 so each example is cheap

@@ -10,11 +10,11 @@ import pickle
 import pytest
 
 from qdepth import (
+    DepthCheck,
     FiniteSequence,
     GeometricSequence,
     PolynomialSequence,
     Poset,
-    Rejection,
     beta_table,
     eq_bound,
     qdepth,
@@ -39,8 +39,7 @@ CASES = {
     "FiniteSequence": (_worked, ("offset", "values")),
     "PolynomialSequence": (lambda: PolynomialSequence([1, 0, 0, 15], shift=2), ("coeffs", "shift")),
     "GeometricSequence": (lambda: GeometricSequence(3, 12, -1), ("scale", "ratio", "shift")),
-    "Rejection": (lambda: Rejection(4, 2, -1), ("d", "k", "beta")),
-    "DepthCheck": (lambda: qdepth_at_least(_worked(), 1), ("ok", "witness_k", "witness_beta")),
+    "DepthCheck": (lambda: qdepth_at_least(_worked(), 1), ("d", "ok", "witness_k", "witness_beta")),
     "QDepthResult": (
         lambda: qdepth(PolynomialSequence([1, 0, 0, 15])),
         ("qdepth", "accepted_table", "upper_bound_used", "witness"),
@@ -90,8 +89,8 @@ def test_record_is_an_immutable_value(name):
 
 
 def test_records_of_different_classes_or_fields_differ():
-    assert Rejection(4, 2, -1) != Rejection(4, 2, -2)
-    assert Rejection(4, 2, -1) != (4, 2, -1)
+    assert DepthCheck(4, False, 2, -1) != DepthCheck(4, False, 2, -2)
+    assert DepthCheck(4, False, 2, -1) != (4, False, 2, -1)
     assert qdepth_at_least(_worked(), 1) != qdepth_at_least(_worked(), 0)
     assert beta_table(_worked(), 1) != beta_table(_worked(), 0)
 

@@ -1,10 +1,12 @@
 """Sequence kinds, support stats, and the alternating binomial transform."""
 
 import copy
+import math
 import pickle
 import random
 import re
 import sys
+import time
 
 import pytest
 
@@ -107,10 +109,12 @@ def test_tail_shift_must_be_an_int():
 def test_invalid_constructions_rejected():
     with pytest.raises(DomainError):
         FiniteSequence(0, [0, 0, 0])
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="values must be at least 0, got -2"):
         FiniteSequence(0, [1, -2])
-    with pytest.raises(DomainError, match="values must be integers, got 1.5"):
+    with pytest.raises(DomainError, match="values must be an integer, got 1.5"):
         FiniteSequence(0, [1, 1.5])
+    with pytest.raises(DomainError, match="coeffs must be at least 0, got -1"):
+        PolynomialSequence([1, -1, 1])
     with pytest.raises(DomainError):
         PolynomialSequence([0, 3])
     with pytest.raises(DomainError):
@@ -151,6 +155,26 @@ def test_beta_of_a_finite_sequence_sums_only_over_its_support(monkeypatch):
     value = beta(h, 50, 100)
     assert len(calls) <= 2
     assert value == oracle_beta(values_dict(h, 0, 1), 50, 100)
+
+
+def test_beta_refuses_an_oversized_binomial_before_any_term(monkeypatch):
+    # the largest binomial has at most min(d - k0, min(k - k0, d - k) * bit_length(d - k0)) bits
+    assert sequences.ENTRY_SPAN * sequences.ENTRY_SPAN.bit_length() == 21978
+    spike = FiniteSequence(0, [1])
+    real = sequences.binomial
+    monkeypatch.setattr(sequences, "binomial", lambda m, t: pytest.fail("a binomial was built"))
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="may need 2000000000000-bit binomials, over the limit of 21978"):
+        beta(spike, 10**12, 2 * 10**12)
+    with pytest.raises(DomainError, match="may need 21979-bit binomials"):
+        beta(spike, 11000, 21979)
+    assert time.perf_counter() - start < 0.01
+    monkeypatch.setattr(sequences, "binomial", real)
+    assert beta(spike, 10989, 21978) == -math.comb(21978, 10989)
+    assert beta(spike, 8000, 16000) == math.comb(16000, 8000)
+    # near either end of the row a binomial stays small however far d lies
+    assert beta(spike, 1, 10**12) == -(10**12)
+    assert beta(spike, 10**12 - 1, 10**12) == -(10**12)
 
 
 def test_beta_table_worked_example():
