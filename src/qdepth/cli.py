@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 malformed input or unusable path, 3 domain error
 (an answer past CPython's integer digit limit among them), 1 internal failure.
 A subcommand's errors go to stderr as one JSON line with a "code" field, argparse's
 as usage text.  JSON output is deterministic: keys sorted, big integers as strings.
+`--format table` prints the same dict as aligned `key  value` lines (see _emit).
 """
 
 from __future__ import annotations
@@ -57,40 +58,34 @@ def _load_sequence(args) -> Sequence:
     return h.shifted(args.shift) if args.shift else h
 
 
+def _compact(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def _emit_json(obj, out) -> None:
-    out.write(json.dumps(obj, sort_keys=True, separators=(",", ":")))
-    out.write("\n")
+    out.write(_compact(obj) + "\n")
 
 
-def _emit(obj, args, out, table_lines) -> None:
+def _emit(obj, args, out) -> None:
+    """obj as JSON, or as one aligned `key  value` line per key in obj's order: scalars by str,
+    containers as compact JSON, and each transform map as one `  beta[k] = v` line per entry."""
     if args.format == "json":
         _emit_json(obj, out)
-    else:
-        for line in table_lines:
-            out.write(line + "\n")
+        return
+    width = max(map(len, obj)) + 2
+    for key, value in obj.items():
+        if key in ("table", "entries"):  # qdepth's and beta-table's transform index -> entry
+            out.write(key + "\n" + "".join(f"  beta[{k}] = {v}\n" for k, v in value.items()))
+        else:
+            out.write(key.ljust(width) + (_compact(value) if isinstance(value, (list, dict)) else str(value)) + "\n")
 
 
 def cmd_qdepth(args, out) -> None:
-    result = engine.qdepth(_load_sequence(args))
-    obj = result.to_json_dict()
-    lines = [
-        f"qdepth      {result.qdepth}",
-        f"upper bound {result.upper_bound_used}",
-    ]
-    for k in sorted(result.accepted_table.entries):
-        lines.append(f"  beta[{k}] = {result.accepted_table.entries[k]}")
-    for r in obj["rejections"]:
-        lines.append(f"rejected d={r['d']}: beta[{r['k']}] = {r['beta']}")
-    _emit(obj, args, out, lines)
+    _emit(engine.qdepth(_load_sequence(args)).to_json_dict(), args, out)
 
 
 def cmd_beta_table(args, out) -> None:
-    table = beta_table(_load_sequence(args), args.d)
-    lines = [f"d = {table.d}"]
-    for k in sorted(table.entries):
-        mark = "   <- first negative" if k == table.first_negative else ""
-        lines.append(f"  beta[{k}] = {table.entries[k]}{mark}")
-    _emit(table.to_json_dict(), args, out, lines)
+    _emit(beta_table(_load_sequence(args), args.d).to_json_dict(), args, out)
 
 
 # family name -> (closed-form prediction, sequence, alpha), each a function of (cf, a, b)
@@ -118,14 +113,7 @@ def _family_check(family: str, a: int, b: int) -> dict:
 
 
 def cmd_closed_form(args, out) -> None:
-    obj = _family_check(args.family, args.a, args.b)
-    lines = [
-        f"family    {args.family} (a={args.a}, b={args.b})",
-        f"predicted {obj['predicted']}  [{obj['branch']}]",
-        f"computed  {obj['computed']}",
-        f"agree     {obj['agree']}",
-    ]
-    _emit(obj, args, out, lines)
+    _emit(_family_check(args.family, args.a, args.b), args, out)
 
 
 def cmd_eq_bound(args, out) -> None:
@@ -134,52 +122,32 @@ def cmd_eq_bound(args, out) -> None:
         alpha = closed_forms.as_fraction(args.alpha)
     except DomainError:
         raise SchemaError(f"alpha: not a rational: {args.alpha!r}") from None
-    prediction = closed_forms.eq_bound(args.n, alpha)
-    lines = [
-        f"bound  {prediction.value}  [{prediction.branch}]",
-        f"exact  {prediction.is_exact}",
-    ]
-    _emit(prediction.to_json_dict(), args, out, lines)
+    _emit(closed_forms.eq_bound(args.n, alpha).to_json_dict(), args, out)
 
 
 def cmd_realize(args, out) -> None:
     from . import posets
     result = posets.realize(_load_sequence(args))
     obj = result.to_json_dict()
-    for path, part in ((args.poset_out, result.poset), (args.partition_out, result.partition)):
+    for path, key in ((args.poset_out, "poset"), (args.partition_out, "partition")):
         if path:
             with _open_out(path) as fh:
-                _emit_json(part.to_json_dict(), fh)
-    lines = [
-        f"m       {result.m}",
-        f"d       {result.depth}",
-        f"N       {result.ground_size}",
-        f"b       {list(result.b)}",
-        f"sets    {len(result.poset)}",
-        f"sdepth  {result.partition.sdepth}",
-        f"valid   {result.validation.ok}",
-    ]
-    _emit(obj, args, out, lines)
+                _emit_json(obj[key], fh)
+    _emit(obj, args, out)
 
 
 def cmd_verify_partition(args, out) -> None:
     from . import posets
     poset = posets.poset_from_json_dict(load_json_arg(args.poset, "poset"))
     partition = posets.partition_from_json_dict(load_json_arg(args.partition, "partition"), poset)
-    report = posets.validate_partition(partition)
-    lines = [f"valid   {report.ok}", f"sdepth  {report.sdepth}" if report.ok else f"reason  {report.reason}"]
-    _emit(report.to_json_dict(), args, out, lines)
+    _emit(posets.validate_partition(partition).to_json_dict(), args, out)
 
 
 def cmd_sdepth(args, out) -> None:
     from . import posets
     poset = posets.poset_from_json_dict(load_json_arg(args.poset, "poset"))
     result = posets.sdepth_bruteforce(poset, cap=args.cap)
-    obj = {"sdepth": result.sdepth, "partition": result.partition.to_json_dict()}
-    lines = [f"sdepth  {result.sdepth}"]
-    for c, d in result.partition.intervals:
-        lines.append(f"  [{list(posets.elements_from_mask(c))}, {list(posets.elements_from_mask(d))}]")
-    _emit(obj, args, out, lines)
+    _emit({"sdepth": result.sdepth, "partition": result.partition.to_json_dict()}, args, out)
 
 
 def _parse_range(raw: str, what: str) -> range:

@@ -31,7 +31,7 @@ class PiecewisePrediction(Record):
     is_exact: bool
 
     def to_json_dict(self) -> dict:
-        return {"prediction": self.value, "branch": self.branch, "exact": self.is_exact}
+        return {"bound": self.value, "branch": self.branch, "exact": self.is_exact}
 
 
 def as_fraction(x) -> Fraction:

@@ -287,7 +287,8 @@ def beta(h: Sequence, k: int, d: int) -> int:
     outside the support vanish, so j runs over [k0, min(k, support end)].
     Before any term, DomainError refuses a call whose largest binomial,
     C(d - k0, k - k0), may pass ENTRY_SPAN * bit_length(ENTRY_SPAN) = 21,978
-    bits by the bound min(d - k0, min(k - k0, d - k) * bit_length(d - k0)).
+    bits by the bound min(d - k0, min(k - k0, d - k) * bit_length(d - k0)),
+    or that sums more than ENTRY_BUDGET terms.
     """
     if _int(k, "k") > _int(d, "d"):
         raise DomainError(f"transform requires k <= d, got k={k}, d={d}")
@@ -296,6 +297,8 @@ def beta(h: Sequence, k: int, d: int) -> int:
     if bits > limit:
         raise DomainError(f"transform at k={k}, d={d} may need {bits}-bit binomials, over the limit of {limit}")
     end = min(k, h.support_end) if isinstance(h, FiniteSequence) else k
+    if end - k0 + 1 > ENTRY_BUDGET:
+        raise DomainError(f"transform at k={k}, d={d} sums {end - k0 + 1} terms, over the budget of {ENTRY_BUDGET}")
     return sum((-1) ** (k - j) * binomial(d - j, k - j) * h.value_at(j) for j in range(k0, end + 1))
 
 

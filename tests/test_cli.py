@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from golden_cli import FAMILY, PARTITION, UNCOVERED
 from qdepth import cli, engine
 from qdepth.cli import main
 
@@ -54,9 +55,8 @@ def test_beta_table_marks_first_negative(capsys):
     )
     assert code == 0
     lines = out.splitlines()
-    marked = [line for line in lines if "first negative" in line]
-    assert len(marked) == 1
-    assert "beta[3] = -168" in marked[0]
+    assert "  beta[3] = -168" in lines
+    assert [line for line in lines if line.startswith("first_negative")] == ["first_negative  3"]
 
 
 def test_beta_table_json(capsys):
@@ -81,8 +81,8 @@ def test_eq_bound_interface(capsys):
     code, out, _ = run_cli(capsys, "eq-bound", "--n", "2", "--alpha", "73/10")
     assert code == 0
     payload = json.loads(out)
-    assert set(payload) == {"prediction", "branch", "exact"}
-    assert payload["prediction"] == 8
+    assert set(payload) == {"bound", "branch", "exact"}
+    assert payload["bound"] == 8
     assert payload["branch"] == "alpha in [7,22/3]"
 
 
@@ -205,7 +205,50 @@ def test_table_format_qdepth(capsys):
         capsys, "qdepth", "--seq", WORKED_SEQ, "--shift", "-3", "--format", "table"
     )
     assert code == 0
-    assert "qdepth      3" in out
+    assert out.splitlines()[:2] == ["qdepth       3", "upper_bound  3"]
+
+
+def _table_pairs(text: str) -> dict:
+    """--format table output read back: `key  value` lines, and `  beta[k] = v` lines under their key."""
+    pairs, key = {}, None
+    for line in text.splitlines():
+        if line.startswith("  beta["):
+            k, _, v = line[len("  beta["):].partition("] = ")
+            pairs[key][k] = v
+        else:
+            key, _, value = line.partition(" ")
+            pairs[key] = value.lstrip() or {}
+    return pairs
+
+
+def _as_table_value(key: str, value):
+    """A JSON value as the table shows it: transform maps as they are, containers as compact JSON, scalars by str."""
+    if key in ("table", "entries"):
+        return value
+    if isinstance(value, (list, dict)):
+        return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return str(value)
+
+
+@pytest.mark.parametrize("argv", [
+    ["qdepth", "--seq", WORKED_SEQ, "--shift", "-3"],
+    ["qdepth", "--seq", '{"kind":"polynomial","coeffs":[1,0,0,15]}'],
+    ["beta-table", "--seq", WORKED_SEQ, "--d", "4"],
+    ["beta-table", "--seq", WORKED_SEQ, "--shift", "-3", "--d", "3"],
+    ["closed-form", "--family", "quadratic", "--a", "22", "--b", "3"],
+    ["eq-bound", "--n", "2", "--alpha", "73/10"],
+    ["realize", "--seq", WORKED_SEQ],
+    ["verify-partition", "--poset", FAMILY, "--partition", PARTITION],
+    ["verify-partition", "--poset", FAMILY, "--partition", UNCOVERED],
+    ["sdepth", "--poset", FAMILY],
+], ids=lambda argv: argv[0])
+def test_table_format_renders_the_json_dict(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    want = {k: _as_table_value(k, v) for k, v in json.loads(out).items()}
+    code, out, _ = run_cli(capsys, *argv, "--format", "table")
+    assert code == 0
+    assert _table_pairs(out) == want
 
 
 def test_qdepth_certificate_over_budget_exits_0(capsys):
@@ -228,7 +271,8 @@ def test_qdepth_certifies_with_the_stopping_row_alone(capsys, monkeypatch, fmt):
     if fmt == "json":
         assert json.loads(out)["rejections"] == [{"d": 8, "k": 3, "beta": "-40"}]
     else:
-        assert [line for line in out.splitlines() if line.startswith("rejected")] == ["rejected d=8: beta[3] = -40"]
+        assert [line for line in out.splitlines() if line.startswith("rejections")] == [
+            'rejections   [{"beta":"-40","d":8,"k":3}]']
 
 
 def test_eq_bound_past_the_digit_limit_exits_3_at_once(capsys):

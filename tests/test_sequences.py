@@ -177,6 +177,25 @@ def test_beta_refuses_an_oversized_binomial_before_any_term(monkeypatch):
     assert beta(spike, 10**12 - 1, 10**12) == -(10**12)
 
 
+def test_beta_refuses_more_terms_than_the_budget_before_any_term(monkeypatch):
+    monkeypatch.setattr(sequences, "ENTRY_BUDGET", 5)
+    real = sequences.binomial
+    monkeypatch.setattr(sequences, "binomial", lambda m, t: pytest.fail("a binomial was built"))
+    with pytest.raises(DomainError, match="sums 6 terms, over the budget of 5"):
+        beta(PolynomialSequence([1, 1]), 5, 7)
+    with pytest.raises(DomainError, match="sums 6 terms"):
+        beta(FiniteSequence(-2, [1] * 8), 3, 7)
+    monkeypatch.setattr(sequences, "binomial", real)
+    assert beta(PolynomialSequence([1, 1]), 4, 7) == oracle_beta({j: 1 + j for j in range(8)}, 4, 7)
+    # only the support counts: one term, however far k and d lie
+    assert beta(FiniteSequence(0, [1]), 8000, 16000) == math.comb(16000, 8000)
+    monkeypatch.undo()
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="sums 1000000001 terms, over the budget of 2000000"):
+        beta(PolynomialSequence([1, 1]), 10**9, 10**9)
+    assert time.perf_counter() - start < 0.01
+
+
 def test_beta_table_worked_example():
     table = beta_table(WORKED.shifted(-3), 3)
     assert table.entries == {1: 2, 2: 0, 3: 5}
