@@ -18,6 +18,8 @@ whose first negative entry rules out every larger candidate.
 
 from __future__ import annotations
 
+from itertools import pairwise
+
 from .errors import DomainError
 from .records import Record
 from .sequences import ENTRY_SPAN, BetaTable, GeometricSequence, Sequence, beta_rows, beta_table, binomial
@@ -111,7 +113,7 @@ def qdepth_value(h: Sequence) -> int:
 
 
 def qdepth_at_least(h: Sequence, d: int) -> DepthCheck:
-    """Test one candidate depth by reading row d of the transform, built within ENTRY_BUDGET."""
+    """Test one candidate depth by reading row d from beta_table (a polynomial tail's row alone), in budget."""
     table = beta_table(h, _index(h, d, "candidate depth {}"))
     k = table.first_negative
     return DepthCheck(d, k is None, k, table.entries.get(k))
@@ -124,9 +126,7 @@ def necessary_condition_holds(h: Sequence, d: int) -> bool:
     """
     st = h.stats()
     _index(h, d, "candidate depth {}")
-    return all(
-        h.value_at(k) >= binomial(d - st.k0, k - st.k0) * st.h0 for k in range(st.k0, d + 1)
-    )
+    return all(v >= binomial(d - st.k0, i) * st.h0 for i, v in enumerate(h.iter_values(d)))
 
 
 def sufficient_condition_holds(h: Sequence, d: int) -> bool:
@@ -134,7 +134,5 @@ def sufficient_condition_holds(h: Sequence, d: int) -> bool:
 
     Requires h(k) >= (d - k + 1) * h(k - 1) for every k in [k0 + 1, d].
     """
-    _index(h, d, "candidate depth {}")
-    return all(
-        h.value_at(k) >= (d - k + 1) * h.value_at(k - 1) for k in range(h.stats().k0 + 1, d + 1)
-    )
+    pairs = pairwise(h.iter_values(_index(h, d, "candidate depth {}")))
+    return all(v >= (d - k + 1) * u for k, (u, v) in enumerate(pairs, h.stats().k0 + 1))

@@ -5,6 +5,8 @@ integers that vanishes far to the left and is not identically zero.  Three
 representations are supported: finitely supported value lists, polynomial
 tails and geometric tails.  Tails are evaluated lazily, so transform values
 are exact with finite work even though the support is infinite.
+beta_rows builds transform rows k0..d by the first-difference recurrence; a
+tail's row() reads row d from its generating function (one shared kernel).
 
 All arithmetic is on Python ints, so nothing overflows.
 """
@@ -14,6 +16,8 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Iterator
+from itertools import accumulate, repeat
+from operator import mul
 
 from .errors import DomainError, SchemaError
 from .records import Record
@@ -74,11 +78,14 @@ class Sequence(Record):
         """The sequence j -> c * self(j), for a positive integer c."""
         raise NotImplementedError
 
+    def iter_values(self, hi: int) -> Iterator[int]:
+        """h(k0), h(k0 + 1), ..., h(hi) in order, computed lazily, for hi >= k0."""
+        return map(self.value_at, range(self.stats().k0, _index(self, hi, "values end {}") + 1))
+
     def window(self, hi: int) -> "FiniteSequence":
         """Materialize the values on [k0, hi] as a finite sequence."""
         _index(self, hi, "window end {}")
-        k0 = self.stats().k0
-        return FiniteSequence(k0, [self.value_at(j) for j in range(k0, hi + 1)])
+        return FiniteSequence(self.stats().k0, list(self.iter_values(hi)))
 
     def to_json_dict(self) -> dict:
         """The kind and every field, leaving out those at their default."""
@@ -101,9 +108,9 @@ def _int(v: int, what: str, least: int | None = None) -> int:
 
 def _index(h: Sequence, v: int, what: str) -> int:
     """v itself when it is an int at or after the support start of h; what is a template like "window end {}"."""
-    k0 = h.stats().k0
-    if _int(v, what.format(v)) < k0:
-        raise DomainError(f"{what.format(v)} lies below the support start {k0}")
+    if isinstance(v, bool) or not isinstance(v, int) or v < h.stats().k0:
+        _int(v, what.format(v))
+        raise DomainError(f"{what.format(v)} lies below the support start {h.stats().k0}")
     return v
 
 
@@ -189,6 +196,15 @@ class PolynomialSequence(Sequence):
             acc = acc * t + a
         return acc
 
+    def row(self, d: int) -> list[int]:
+        """Transform values at d for k = k0..d: _tail_row at rate 2 of c_m = Delta^m h(k0), as h(k0 + j) =
+        sum c_m C(j, m).  Only m <= D = d - k0 reach u^D, so it reads no value past d."""
+        n = _row_length(self, d)
+        c = list(self.iter_values(self.stats().k0 + min(len(self.coeffs), n) - 1))
+        for m in range(1, len(c)):
+            c[m:] = [b - a for a, b in zip(c[m - 1 :], c[m:])]
+        return _tail_row(c, n, 2)
+
     def shifted(self, m: int) -> "PolynomialSequence":
         return PolynomialSequence(self.coeffs, self.shift + _int(m, "shift"))
 
@@ -218,24 +234,13 @@ class GeometricSequence(Sequence):
             return 0
         return self.scale * self.ratio**t
 
-    def row(self, d: int) -> list[int]:
-        """Transform values at d for k = k0..d, as a list that starts at k0.
+    def iter_values(self, hi: int) -> Iterator[int]:
+        span = _index(self, hi, "values end {}") - self.stats().k0
+        return accumulate(repeat(self.ratio, span), mul, initial=self.scale)
 
-        With i = k - k0 and n = d - k0 + 1 they are the coefficients of the
-        generating function scale * (1 - u)^n / (1 - (ratio + 1) u), so
-        entry i is (ratio + 1) times entry i - 1 plus scale * (-1)^i * C(n, i):
-        d - k0 + 1 entries, with no earlier row.
-        """
-        k0 = self.stats().k0
-        if _index(self, d, "row at d={}") - k0 > ENTRY_SPAN:
-            raise DomainError(f"row at d={d} lies more than {ENTRY_SPAN} above the support start {k0}")
-        n = d - k0 + 1
-        grow, term, acc, out = self.ratio + 1, self.scale, 0, []
-        for i in range(n):
-            acc = grow * acc + (-term if i % 2 else term)
-            out.append(acc)
-            term = term * (n - i) // (i + 1)
-        return out
+    def row(self, d: int) -> list[int]:
+        """Transform values at d for k = k0..d: _tail_row of H(t) = scale / (1 - ratio t), c = [scale]."""
+        return _tail_row([self.scale], _row_length(self, d), self.ratio + 1)
 
     def shifted(self, m: int) -> "GeometricSequence":
         return GeometricSequence(self.scale, self.ratio, self.shift + _int(m, "shift"))
@@ -243,6 +248,31 @@ class GeometricSequence(Sequence):
     def scaled(self, c: int) -> "GeometricSequence":
         _int(c, "scale factor", 1)
         return GeometricSequence(c * self.scale, self.ratio, self.shift)
+
+
+def _row_length(h: Sequence, d: int) -> int:
+    """D + 1 = d - k0 + 1, the length of row d, after refusing a d below k0 or past k0 + ENTRY_SPAN."""
+    k0 = h.stats().k0
+    if _index(h, d, "row at d={}") - k0 > ENTRY_SPAN:
+        raise DomainError(f"row at d={d} lies more than {ENTRY_SPAN} above the support start {k0}")
+    return d - k0 + 1
+
+
+def _tail_row(c: list[int], n: int, rate: int) -> list[int]:
+    """Row d of a tail, n = D + 1 = d - k0 + 1: u^0..u^D of (1 - u)^n * sum c_m u^m / (1 - rate u)^(m+1).
+
+    Row d is (1 - u)^D * H(u / (1 - u)) up to u^D, with H(t) = sum h(k0 + j) t^j = sum c_m t^m /
+    (1 - (rate - 1) t)^(m+1).  Horner's rule from the last m down sets row to (c_m (1 - u)^n + u row)
+    / (1 - rate u): O(D) additions and small-integer products per c_m.
+    """
+    row = [0] * n
+    for cm in reversed(c):
+        acc, term, below = 0, cm, 0
+        for i in range(n):
+            acc = rate * acc + term + below
+            below, row[i] = row[i], acc
+            term = -term * (n - i) // (i + 1)
+    return row
 
 
 def add(g: Sequence, h: Sequence) -> FiniteSequence:
@@ -302,6 +332,16 @@ def beta(h: Sequence, k: int, d: int) -> int:
     return sum((-1) ** (k - j) * binomial(d - j, k - j) * h.value_at(j) for j in range(k0, end + 1))
 
 
+def _rows_budget(h: Sequence, up_to: int) -> int:
+    """k0, after refusing an up_to below it or whose rows k0..up_to hold more than ENTRY_BUDGET entries."""
+    k0 = h.stats().k0
+    entries = (_index(h, up_to, "table at d={}") - k0 + 1) * (up_to - k0 + 2) // 2
+    if entries > ENTRY_BUDGET:
+        msg = f"transform rows up to d={up_to} need {entries} transform entries, over the budget of {ENTRY_BUDGET}"
+        raise DomainError(msg)
+    return k0
+
+
 def beta_rows(h: Sequence, up_to: int) -> Iterator[tuple[int, dict]]:
     """Yield (d, row) for every d from k0 to up_to.
 
@@ -312,18 +352,12 @@ def beta_rows(h: Sequence, up_to: int) -> Iterator[tuple[int, dict]]:
     first next(), before any row is built, DomainError refuses an up_to
     below k0 and a scan whose rows hold more than ENTRY_BUDGET entries.
     """
-    st = h.stats()
-    _index(h, up_to, "table at d={}")
-    entries = (up_to - st.k0 + 1) * (up_to - st.k0 + 2) // 2
-    if entries > ENTRY_BUDGET:
-        raise DomainError(
-            f"transform rows up to d={up_to} need {entries} transform entries, over the budget of {ENTRY_BUDGET}"
-        )
-    row = {st.k0: st.h0}
-    yield st.k0, row
-    for d in range(st.k0 + 1, up_to + 1):
-        nxt = {st.k0: st.h0}
-        for k in range(st.k0 + 1, d):
+    k0, h0 = _rows_budget(h, up_to), h.stats().h0
+    row = {k0: h0}
+    yield k0, row
+    for d in range(k0 + 1, up_to + 1):
+        nxt = {k0: h0}
+        for k in range(k0 + 1, d):
             nxt[k] = row[k] - row[k - 1]
         nxt[d] = h.value_at(d) - row[d - 1]
         row = nxt
@@ -341,11 +375,17 @@ def _first_negative(row: dict) -> int | None:
 def beta_table(h: Sequence, d: int) -> BetaTable:
     """Full transform table at d, for d at or beyond the support start.
 
-    The table is the last row of the first-difference recurrence, built
-    within ENTRY_BUDGET.
+    Before any work, every kind gets the beta_rows refusal of rows k0..d
+    past ENTRY_BUDGET entries.  A polynomial tail's table is then its row
+    (PolynomialSequence.row, from the generating function); other kinds
+    take the last row of the recurrence.
     """
-    for _, entries in beta_rows(h, d):
-        pass
+    k0 = _rows_budget(h, d)
+    if isinstance(h, PolynomialSequence):
+        entries = dict(zip(range(k0, d + 1), h.row(d)))
+    else:
+        for _, entries in beta_rows(h, d):
+            pass
     return BetaTable(d, entries, _first_negative(entries))
 
 

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from helpers import growth_sequence, oracle_qdepth, random_finite, random_sequence
+from helpers import growth_sequence, oracle_qdepth, pascal_binomial, random_finite, random_sequence, values_dict
 from qdepth import (
     DomainError,
     FiniteSequence,
@@ -178,6 +178,33 @@ def test_sufficient_condition_examples():
     assert not sufficient_condition_holds(FiniteSequence(0, [1, 1]), 2)
     with pytest.raises(DomainError, match="lies below the support start -2"):
         sufficient_condition_holds(WORKED, -3)
+
+
+def test_side_conditions_read_the_values_in_one_pass(monkeypatch):
+    rng = random.Random(75)
+    cases = [(random_sequence(rng).shifted(rng.randint(-4, 4)), rng.randint(0, 8)) for _ in range(80)]
+    cases += [(GeometricSequence(1, 10**100, 3), 40), (GeometricSequence(2, 3), 9), (GeometricSequence(1, 10), 5)]
+    for h, span in cases:
+        k0 = h.stats().k0
+        d = k0 + span
+        vals = values_dict(h, k0, d)
+        assert necessary_condition_holds(h, d) == all(
+            vals[k] >= pascal_binomial(d - k0, k - k0) * vals[k0] for k in range(k0, d + 1)
+        )
+        assert sufficient_condition_holds(h, d) == all(
+            vals[k] >= (d - k + 1) * vals[k - 1] for k in range(k0 + 1, d + 1)
+        )
+    # a geometric tail multiplies by its ratio instead of evaluating each power afresh
+    calls = []
+    real = GeometricSequence.value_at
+    monkeypatch.setattr(GeometricSequence, "value_at", lambda self, j: calls.append(j) or real(self, j))
+    for check in (necessary_condition_holds, sufficient_condition_holds):
+        calls.clear()
+        assert check(GeometricSequence(1, 10, 2), 3)
+        assert len(calls) <= 1
+        calls.clear()
+        assert check(GeometricSequence(1, 10**100), 400)
+        assert len(calls) <= 1
 
 
 def test_implication_chain():

@@ -10,7 +10,15 @@ import time
 
 import pytest
 
-from helpers import oracle_beta, pascal_binomial, random_finite, random_sequence, values_dict
+from helpers import (
+    oracle_beta,
+    pascal_binomial,
+    random_finite,
+    random_geometric,
+    random_polynomial,
+    random_sequence,
+    values_dict,
+)
 from qdepth import (
     DomainError,
     FiniteSequence,
@@ -239,6 +247,9 @@ INDEX_ARGUMENTS = {
     "beta_table": ("table at d=", lambda v: beta_table(SMALL, v)),
     "window": ("window end ", lambda v: SMALL.window(v)),
     "geometric-row": ("row at d=", lambda v: GeometricSequence(1, 2).row(v)),
+    "polynomial-row": ("row at d=", lambda v: PolynomialSequence([1, 1]).row(v)),
+    "iter_values": ("values end ", lambda v: SMALL.iter_values(v)),
+    "geometric-iter_values": ("values end ", lambda v: GeometricSequence(1, 2).iter_values(v)),
     "qdepth_at_least": ("candidate depth ", lambda v: qdepth_at_least(SMALL, v)),
     "necessary": ("candidate depth ", lambda v: necessary_condition_holds(SMALL, v)),
     "sufficient": ("candidate depth ", lambda v: sufficient_condition_holds(SMALL, v)),
@@ -311,6 +322,98 @@ def test_geometric_row_matches_direct_sums():
         k0 = h.stats().k0
         vals = values_dict(h, k0, k0 + span)
         assert h.row(k0 + span) == [oracle_beta(vals, k, k0 + span) for k in range(k0, k0 + span + 1)]
+
+
+def refuse_recurrence(*args):
+    raise AssertionError("a recurrence row or a direct sum was built")
+
+
+@pytest.mark.parametrize("kind", ["polynomial", "geometric"])
+def test_tail_rows_match_direct_sums(monkeypatch, kind):
+    monkeypatch.setattr(sequences, "beta_rows", refuse_recurrence)
+    monkeypatch.setattr(sequences, "beta", refuse_recurrence)
+    rng = random.Random(37)
+    spans = [0, 1, 2, 60] + [rng.randint(0, 60) for _ in range(30)]
+    below_degree = 0
+    for shift in range(-4, 5):
+        for span in spans:
+            if kind == "polynomial":
+                h = random_polynomial(rng, max_degree=9).shifted(shift)
+                below_degree += span < len(h.coeffs) - 1
+            else:
+                h = random_geometric(rng, max_ratio=40).shifted(shift)
+            k0 = h.stats().k0
+            vals = values_dict(h, k0, k0 + span)
+            assert h.row(k0 + span) == [oracle_beta(vals, k, k0 + span) for k in range(k0, k0 + span + 1)]
+    # rows at D < degree read only the first D + 1 differences
+    assert below_degree > 0 or kind == "geometric"
+
+
+def test_polynomial_table_reads_its_row_alone(monkeypatch):
+    rng = random.Random(41)
+    cases = [(random_polynomial(rng, max_degree=9).shifted(rng.randint(-4, 4)), span) for span in range(61)]
+    cases += [(random_polynomial(rng, max_degree=9).shifted(rng.randint(-4, 4)), rng.randint(0, 9)) for _ in range(30)]
+    want = {}
+    for h, span in cases:
+        k0 = h.stats().k0
+        vals = values_dict(h, k0, k0 + span)
+        want[h, span] = {k: oracle_beta(vals, k, k0 + span) for k in range(k0, k0 + span + 1)}
+    monkeypatch.setattr(sequences, "beta_rows", refuse_recurrence)
+    monkeypatch.setattr(sequences, "beta", refuse_recurrence)
+    for h, span in cases:
+        table = beta_table(h, h.stats().k0 + span)
+        assert table.entries == want[h, span]
+        assert table.first_negative == next((k for k, v in want[h, span].items() if v < 0), None)
+
+
+def test_polynomial_row_reads_no_value_past_its_span(monkeypatch):
+    reads = []
+    real = PolynomialSequence.value_at
+    monkeypatch.setattr(PolynomialSequence, "value_at", lambda self, j: reads.append(j) or real(self, j))
+    h = PolynomialSequence([1] * 20_000, 5)
+    k0 = h.stats().k0
+    # h(k0 + j) = 1 + j + ... + j^19999
+    vals = {k0: 1, k0 + 1: 20_000, k0 + 2: 2**20_000 - 1}
+    want = [oracle_beta(vals, k, k0 + 2) for k in range(k0, k0 + 3)]
+    monkeypatch.setattr(sequences, "beta_rows", refuse_recurrence)
+    reads.clear()
+    assert h.row(k0 + 2) == want
+    assert len(reads) <= 3
+    reads.clear()
+    assert list(beta_table(h, k0 + 2).entries.values()) == want
+    assert len(reads) <= 3
+
+
+@pytest.mark.parametrize(
+    "h", [WORKED, PolynomialSequence([1, 4], 3), GeometricSequence(2, 9, -1)], ids=["finite", "polynomial", "geometric"]
+)
+def test_beta_table_refuses_over_budget_before_any_work_for_every_kind(monkeypatch, h):
+    def refuse(*args):
+        raise AssertionError("work was done before the budget check")
+
+    monkeypatch.setattr(sequences, "ENTRY_BUDGET", 21)
+    k0 = h.stats().k0
+    assert beta_table(h, k0 + 5).d == k0 + 5
+    for owner in (sequences, type(h), PolynomialSequence, GeometricSequence):
+        for name in {"beta_rows", "beta", "value_at", "row"} & set(vars(owner)):
+            monkeypatch.setattr(owner, name, refuse)
+    message = f"transform rows up to d={k0 + 6} need 28 transform entries, over the budget of 21"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        beta_table(h, k0 + 6)
+
+
+def test_iter_values_reads_the_values_in_order():
+    rng = random.Random(43)
+    for _ in range(60):
+        h = random_sequence(rng).shifted(rng.randint(-4, 4))
+        k0 = h.stats().k0
+        hi = k0 + rng.randint(0, 12)
+        assert list(h.iter_values(hi)) == [h.value_at(j) for j in range(k0, hi + 1)]
+        assert h.window(hi) == FiniteSequence(k0, list(values_dict(h, k0, hi).values()))
+    for h in (WORKED, GeometricSequence(1, 2, 3)):
+        k0 = h.stats().k0
+        with pytest.raises(DomainError, match=f"^values end {k0 - 1} lies below the support start {k0}$"):
+            h.iter_values(k0 - 1)
 
 
 def test_shift_examples():
