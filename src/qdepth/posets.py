@@ -220,23 +220,21 @@ def sdepth_bruteforce(poset: Poset, cap: int = DEFAULT_BRUTEFORCE_CAP) -> Sdepth
     bounds the search.  Each bottom's whole intervals inside the family are
     listed once per family, the first time that bottom comes up, and serve
     every threshold; only the masks of unassigned sets proven impossible to
-    cover are remembered, since a found cover ends the search.
+    cover are remembered, since a found cover ends the search.  A state is
+    a dead end when some unassigned set has no unassigned superset of size
+    at least the threshold; it rechecks only the sets under its last
+    interval's members of that size, since its parent passed the check.
     """
-    masks = poset.sorted_masks()
-    s = len(masks)
+    s = len(poset)
     if s > _int(cap, "cap"):
         raise DomainError(f"family has {s} members, exhaustive search is capped at {cap}")
+    masks = poset.sorted_masks()
     sizes = [m.bit_count() for m in masks]
+    sup = [sum(1 << j for j, b in enumerate(masks) if a & ~b == 0) for a in masks]
+    sub = [sum(1 << i for i, a in enumerate(masks) if a & ~b == 0) for b in masks]
 
-    sup = [0] * s
-    sub = [0] * s
-    for i, a in enumerate(masks):
-        for j, b in enumerate(masks):
-            if a & ~b == 0:
-                sup[i] |= 1 << j
-                sub[j] |= 1 << i
-
-    t_hi = min(max(sizes[j] for j in range(s) if sup[i] >> j & 1) for i in range(s))
+    # masks are sorted by size, so a set's highest superset index is its largest superset
+    t_hi = min(sizes[x.bit_length() - 1] for x in sup)
     t_lo = sizes[0]
     full = (1 << s) - 1
     # per bottom i: (top size, top j, members) of every whole interval [i, j], largest top first
@@ -244,23 +242,35 @@ def sdepth_bruteforce(poset: Poset, cap: int = DEFAULT_BRUTEFORCE_CAP) -> Sdepth
 
     def tops_of(i: int) -> list:
         tops = []
-        for j in range(s):
+        rest = sup[i]
+        while rest:
+            j = rest.bit_length() - 1
+            rest ^= 1 << j
             members = sup[i] & sub[j]
-            if sup[i] >> j & 1 and members.bit_count() == 1 << (sizes[j] - sizes[i]):
+            if members.bit_count() == 1 << (sizes[j] - sizes[i]):
                 tops.append((sizes[j], j, members))
         tops.sort(key=lambda top: (-top[0], top[1]))
         return tops
 
-    def cover(remaining: int) -> list | None:
-        # t, cand and dead belong to the threshold being tried
+    def cover(remaining: int, taken: int) -> list | None:
+        # t, sizemask and dead belong to the threshold being tried; taken is
+        # the interval just assigned, or every set at the root
         if remaining == 0:
             return []
         if remaining in dead:
             return None
-        rem = remaining
+        # only sets under a taken set of size at least t can have lost a candidate top
+        hit = 0
+        big = taken & sizemask
+        while big:
+            low = big & -big
+            hit |= sub[low.bit_length() - 1]
+            big ^= low
+        live = remaining & sizemask
+        rem = remaining & hit
         while rem:
             low = rem & -rem
-            if cand[low.bit_length() - 1] & remaining == 0:
+            if sup[low.bit_length() - 1] & live == 0:
                 dead.add(remaining)
                 return None
             rem ^= low
@@ -272,17 +282,17 @@ def sdepth_bruteforce(poset: Poset, cap: int = DEFAULT_BRUTEFORCE_CAP) -> Sdepth
             if size < t:
                 break
             if members & remaining == members:
-                rest = cover(remaining ^ members)
+                rest = cover(remaining ^ members, members)
                 if rest is not None:
                     return [(i, j)] + rest
         dead.add(remaining)
         return None
 
     for t in range(t_hi, t_lo - 1, -1):
-        sizemask = sum(1 << j for j in range(s) if sizes[j] >= t)
-        cand = [sup[i] & sizemask for i in range(s)]
+        # the sets of size at least t are the last ones in size order
+        sizemask = full & -(1 << sum(x < t for x in sizes))
         dead: set[int] = set()
-        found = cover(full)
+        found = cover(full, full)
         if found is not None:
             intervals = tuple((masks[i], masks[j]) for i, j in found)
             return SdepthResult(t, IntervalPartition(poset, intervals))

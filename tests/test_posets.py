@@ -296,6 +296,17 @@ def test_sdepth_bruteforce_respects_cap():
         sdepth_bruteforce(poset, cap=10)
 
 
+def test_sdepth_bruteforce_checks_cap_before_sorting(monkeypatch):
+    poset = Poset(20, frozenset(range(1 << 20)))
+
+    def refuse(self):
+        raise AssertionError("the family was sorted before the cap was checked")
+
+    monkeypatch.setattr(Poset, "sorted_masks", refuse)
+    with pytest.raises(DomainError, match=r"^family has 1048576 members, exhaustive search is capped at 24$"):
+        sdepth_bruteforce(poset)
+
+
 def test_sdepth_never_exceeds_poset_depth():
     rng = random.Random(139)
     for _ in range(120):
@@ -309,6 +320,16 @@ def test_squarefree_veronese_depth():
         for k in range(1, n + 1):
             poset = Poset(n, frozenset(m for m in range(1 << n) if m.bit_count() >= k))
             assert poset_qdepth(poset).qdepth == k + (n - k) // (k + 1), (n, k)
+
+
+def test_squarefree_veronese_partition_depth():
+    # the same formula for sdepth, on every P_{n,k} the search finishes in about a second
+    cases = [(n, k) for n in range(1, 7) for k in range(1, n + 1)] + [(7, k) for k in range(4, 8)]
+    for n, k in cases:
+        poset = Poset(n, frozenset(m for m in range(1 << n) if m.bit_count() >= k))
+        result = sdepth_bruteforce(poset, cap=len(poset))
+        assert result.sdepth == k + (n - k) // (k + 1), (n, k)
+        assert validate_partition(result.partition).ok, (n, k)
 
 
 def _upsets(n: int) -> list:
