@@ -220,23 +220,40 @@ def sdepth_bruteforce(poset: Poset, cap: int = DEFAULT_BRUTEFORCE_CAP) -> Sdepth
     bounds the search.  Each bottom's whole intervals inside the family are
     listed once per family, the first time that bottom comes up, and serve
     every threshold; only the masks of unassigned sets proven impossible to
-    cover are remembered, since a found cover ends the search.  A state is
-    a dead end when some unassigned set has no unassigned superset of size
-    at least the threshold; it rechecks only the sets under its last
-    interval's members of that size, since its parent passed the check.
+    cover are remembered, since a found cover ends the search.  A set's
+    supersets are the AND of the sets holding each of its elements, and
+    its non-subsets the OR of those holding an element it lacks.  A state
+    is a dead end when some unassigned set has no unassigned superset of
+    size at least the threshold; its parent passed that check, so it
+    rechecks only the sets under its last interval's top.
     """
     s = len(poset)
     if s > _int(cap, "cap"):
         raise DomainError(f"family has {s} members, exhaustive search is capped at {cap}")
     masks = poset.sorted_masks()
     sizes = [m.bit_count() for m in masks]
-    sup = [sum(1 << j for j, b in enumerate(masks) if a & ~b == 0) for a in masks]
-    sub = [sum(1 << i for i, a in enumerate(masks) if a & ~b == 0) for b in masks]
+    full = (1 << s) - 1
+    # has[bit]: the sets holding that element; elements no set holds get no entry
+    has: dict[int, int] = {}
+    for i, m in enumerate(masks):
+        while m:
+            low = m & -m
+            has[low] = has.get(low, 0) | 1 << i
+            m ^= low
+    sup, sub = [], []
+    for m in masks:
+        above, below = full, 0
+        for bit, holders in has.items():
+            if m & bit:
+                above &= holders
+            else:
+                below |= holders
+        sup.append(above)
+        sub.append(full ^ below)
 
     # masks are sorted by size, so a set's highest superset index is its largest superset
     t_hi = min(sizes[x.bit_length() - 1] for x in sup)
     t_lo = sizes[0]
-    full = (1 << s) - 1
     # per bottom i: (top size, top j, members) of every whole interval [i, j], largest top first
     whole: list[list | None] = [None] * s
 
@@ -252,20 +269,13 @@ def sdepth_bruteforce(poset: Poset, cap: int = DEFAULT_BRUTEFORCE_CAP) -> Sdepth
         tops.sort(key=lambda top: (-top[0], top[1]))
         return tops
 
-    def cover(remaining: int, taken: int) -> list | None:
-        # t, sizemask and dead belong to the threshold being tried; taken is
-        # the interval just assigned, or every set at the root
+    def cover(remaining: int, hit: int) -> list | None:
+        # t, sizemask and dead belong to the threshold being tried; hit holds the sets
+        # that can have lost a candidate top: all at the root, else sub[top just taken]
         if remaining == 0:
             return []
         if remaining in dead:
             return None
-        # only sets under a taken set of size at least t can have lost a candidate top
-        hit = 0
-        big = taken & sizemask
-        while big:
-            low = big & -big
-            hit |= sub[low.bit_length() - 1]
-            big ^= low
         live = remaining & sizemask
         rem = remaining & hit
         while rem:
@@ -282,7 +292,7 @@ def sdepth_bruteforce(poset: Poset, cap: int = DEFAULT_BRUTEFORCE_CAP) -> Sdepth
             if size < t:
                 break
             if members & remaining == members:
-                rest = cover(remaining ^ members, members)
+                rest = cover(remaining ^ members, sub[j])
                 if rest is not None:
                     return [(i, j)] + rest
         dead.add(remaining)

@@ -244,6 +244,22 @@ def test_sum_law():
         assert qdepth_value(add(g, h)) >= min(qdepth_value(g), qdepth_value(h))
 
 
+def test_convolution_law():
+    # (g * h)(j) is the sum of g(a) h(j - a), so the offsets add
+    rng = random.Random(167)
+    for _ in range(2000):
+        g = random_finite(rng)
+        h = random_finite(rng)
+        values = [0] * (len(g.values) + len(h.values) - 1)
+        for a, x in enumerate(g.values):
+            for b, y in enumerate(h.values):
+                values[a + b] += x * y
+        product = FiniteSequence(g.offset + h.offset, values)
+        depth = qdepth_value(product)
+        assert depth == oracle_qdepth(product), (g, h)
+        assert depth >= qdepth_value(g) + qdepth_value(h), (g, h)
+
+
 def test_shift_law():
     rng = random.Random(89)
     for _ in range(60):

@@ -389,6 +389,39 @@ def test_sdepth_bruteforce_matches_memo_oracle():
             assert result.sdepth == plain_sdepth(sets), sets
         if n == 6:
             assert result.sdepth == 3
+    # sparse families over [63]: ground elements no set holds, and element 63
+    for _, sets in _families(rng, 4, 300):
+        spots = [*sorted(rng.sample(range(62), 3)), 62]
+        spread = {m: sum(1 << spots[e] for e in range(4) if m >> e & 1) for m in sets}
+        sdepth, intervals = oracle_sdepth_search(sets)
+        result = sdepth_bruteforce(Poset(63, frozenset(spread.values())), cap=len(sets))
+        assert result.sdepth == sdepth, (spots, sets)
+        assert result.partition.intervals == tuple((spread[c], spread[d]) for c, d in intervals), (spots, sets)
+
+
+def test_sdepth_of_a_product_is_at_least_the_sum():
+    # P x Q = {A | B << 2} over [5]; the products of the intervals of partitions
+    # of P and Q partition it, with depth the sum of theirs
+    rng = random.Random(163)
+    pairs = 0
+    while pairs < 300:
+        p = [m for m in range(4) if rng.random() < 0.5]
+        q = [m for m in range(8) if rng.random() < 0.5]
+        if not p or not q or len(p) * len(q) > 24:
+            continue
+        pairs += 1
+        left = sdepth_bruteforce(Poset(2, frozenset(p)))
+        right = sdepth_bruteforce(Poset(3, frozenset(q)))
+        product = [a | b << 2 for a in p for b in q]
+        intervals = tuple(
+            (c | e << 2, d | f << 2) for c, d in left.partition.intervals for e, f in right.partition.intervals
+        )
+        partition = IntervalPartition(Poset(5, frozenset(product)), intervals)
+        assert validate_partition(partition).ok, (p, q)
+        assert partition.sdepth == left.sdepth + right.sdepth
+        result = sdepth_bruteforce(partition.target)
+        assert (result.sdepth, result.partition.intervals) == oracle_sdepth_search(product), (p, q)
+        assert result.sdepth >= partition.sdepth, (p, q)
 
 
 def test_counting_identity_examples():
