@@ -44,19 +44,15 @@ def elements_from_mask(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _submasks(free: int) -> Iterable[int]:
+def interval_members(bottom: int, top: int) -> Iterable[int]:
+    """All sets between bottom and top, inclusive."""
+    free = top & ~bottom
     sub = free
     while True:
-        yield sub
+        yield bottom | sub
         if sub == 0:
             return
         sub = (sub - 1) & free
-
-
-def interval_members(bottom: int, top: int) -> Iterable[int]:
-    """All sets between bottom and top, inclusive."""
-    for sub in _submasks(top & ~bottom):
-        yield bottom | sub
 
 
 def _ground_size(n: int) -> int:
@@ -222,10 +218,9 @@ def sdepth_bruteforce(poset: Poset, cap: int = DEFAULT_BRUTEFORCE_CAP) -> Sdepth
     every threshold; only the masks of unassigned sets proven impossible to
     cover are remembered, since a found cover ends the search.  A set's
     supersets are the AND of the sets holding each of its elements, and
-    its non-subsets the OR of those holding an element it lacks.  A state
-    is a dead end when some unassigned set has no unassigned superset of
-    size at least the threshold; its parent passed that check, so it
-    rechecks only the sets under its last interval's top.
+    its non-subsets the OR of those holding an element it lacks.  The search
+    keeps its own stack, so a family of many one-set intervals needs no
+    deeper recursion.
     """
     s = len(poset)
     if s > _int(cap, "cap"):
@@ -269,42 +264,38 @@ def sdepth_bruteforce(poset: Poset, cap: int = DEFAULT_BRUTEFORCE_CAP) -> Sdepth
         tops.sort(key=lambda top: (-top[0], top[1]))
         return tops
 
-    def cover(remaining: int, hit: int) -> list | None:
-        # t, sizemask and dead belong to the threshold being tried; hit holds the sets
-        # that can have lost a candidate top: all at the root, else sub[top just taken]
-        if remaining == 0:
-            return []
-        if remaining in dead:
-            return None
-        live = remaining & sizemask
-        rem = remaining & hit
-        while rem:
-            low = rem & -rem
-            if sup[low.bit_length() - 1] & live == 0:
-                dead.add(remaining)
-                return None
-            rem ^= low
-        i = (remaining & -remaining).bit_length() - 1
-        tops = whole[i]
-        if tops is None:
-            tops = whole[i] = tops_of(i)
-        for size, j, members in tops:
-            if size < t:
-                break
-            if members & remaining == members:
-                rest = cover(remaining ^ members, sub[j])
+    def cover(t: int) -> tuple | None:
+        dead: set[int] = set()
+        stack = []  # (unassigned sets, bottom, untried tops, top taken) of each state on the path
+        remaining = full
+        while remaining:
+            i = (remaining & -remaining).bit_length() - 1
+            tops = whole[i]
+            if tops is None:
+                tops = whole[i] = tops_of(i)
+            untried = iter(tops)
+            # take the next top that fits and leaves no known dead state, else backtrack
+            while True:
+                rest = None
+                for size, j, members in untried:
+                    if size < t:
+                        break
+                    if members & remaining == members and remaining ^ members not in dead:
+                        rest = remaining ^ members
+                        break
                 if rest is not None:
-                    return [(i, j)] + rest
-        dead.add(remaining)
-        return None
+                    break
+                dead.add(remaining)
+                if not stack:
+                    return None
+                remaining, i, untried, _ = stack.pop()
+            stack.append((remaining, i, untried, j))
+            remaining = rest
+        return tuple((masks[i], masks[j]) for _, i, _, j in stack)
 
     for t in range(t_hi, t_lo - 1, -1):
-        # the sets of size at least t are the last ones in size order
-        sizemask = full & -(1 << sum(x < t for x in sizes))
-        dead: set[int] = set()
-        found = cover(full, full)
-        if found is not None:
-            intervals = tuple((masks[i], masks[j]) for i, j in found)
+        intervals = cover(t)
+        if intervals is not None:
             return SdepthResult(t, IntervalPartition(poset, intervals))
 
     raise AssertionError("unreachable: singleton intervals always cover the family")

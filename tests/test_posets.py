@@ -3,6 +3,7 @@
 import random
 import re
 import tracemalloc
+from itertools import combinations
 
 import pytest
 
@@ -332,6 +333,17 @@ def test_squarefree_veronese_partition_depth():
         assert validate_partition(result.partition).ok, (n, k)
 
 
+def test_sdepth_of_a_large_antichain():
+    # 1,287 one-set intervals, one per five-element subset of [13]: more intervals
+    # than the interpreter's default recursion limit of 1,000
+    sets = frozenset(mask_from_elements(c, 13) for c in combinations(range(1, 14), 5))
+    poset = Poset(13, sets)
+    result = sdepth_bruteforce(poset, cap=len(poset))
+    assert result.sdepth == 5
+    assert result.partition.intervals == tuple((m, m) for m in poset.sorted_masks())
+    assert validate_partition(result.partition).ok
+
+
 def _upsets(n: int) -> list:
     """Every up-set of subsets of [n], the empty one included, as frozensets of masks.
 
@@ -358,7 +370,9 @@ def test_sdepth_census_of_upsets_over_five():
     gaps = []
     for sets in upsets:
         poset = Poset(5, sets)
-        gap = poset_qdepth(poset).qdepth - sdepth_bruteforce(poset, cap=len(poset)).sdepth
+        result = sdepth_bruteforce(poset, cap=len(poset))
+        assert (result.sdepth, result.partition.intervals) == oracle_sdepth_search(sorted(sets)), sorted(sets)
+        gap = poset_qdepth(poset).qdepth - result.sdepth
         assert gap in (0, 1), sorted(sets)
         if gap:
             gaps.append(sets)
