@@ -44,9 +44,23 @@ def as_fraction(x) -> Fraction:
     raise DomainError(f"not an exact rational: {x!r}")
 
 
+def _exponent(n: int, what: str) -> None:
+    """DomainError unless n is an integer at least 1 and 2^(n+1) - 1 prints within the digit limit.
+
+    The limit is CPython's integer string conversion limit, or its default of
+    4300 digits when that limit is off.  Every closed form here builds 2^n or
+    n coefficients, so this refusal bounds the work before either is built.
+    """
+    _int(n, what, 1)
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    # 2^(n+1) - 1 >= 10^limit; log2(10) > 3, so the exact test runs only near the limit
+    if n + 1 > 3 * limit and n + 1 >= (10**limit).bit_length():
+        raise DomainError(f"{what} is too large: 2^({what}+1) - 1 has more than {limit} digits, the string conversion limit")
+
+
 def monomial_plus_constant(a: int, b: int, degree: int) -> PolynomialSequence:
     """The tail a*j^degree + b as a polynomial sequence."""
-    _int(degree, "degree", 1)
+    _exponent(degree, "degree")
     return PolynomialSequence([b] + [0] * (degree - 1) + [a])
 
 
@@ -81,7 +95,7 @@ def lambda_threshold(n: int, m: int) -> Fraction:
     Defined for 2 <= m <= 2^n; the subscript convention indexes the value
     as lambda_(2^n + 1 - m).  Thresholds grow strictly as m decreases.
     """
-    _int(n, "n", 1)
+    _exponent(n, "n")
     if not 2 <= _int(m, "m") <= 2**n:
         raise DomainError(f"m must lie in [2, {2**n}], got {m}")
     num = m * m + m * (2 ** (n + 1) - 3) + 4**n - 3 * 2**n + 4
@@ -96,7 +110,7 @@ def compare_alpha1(alpha, n: int) -> int:
     squares alpha + 1/2 - 2^n against 4^n - 2^n + 2 after a sign check, so
     no floating point is involved.
     """
-    _int(n, "n", 1)
+    _exponent(n, "n")
     alpha = as_fraction(alpha)
     t = alpha + Fraction(1, 2) - 2**n
     if t <= 0:
@@ -117,14 +131,11 @@ def eq_bound(n: int, alpha) -> PiecewisePrediction:
     steps down from 2^(n+1) to 2^n + 1 at the rational thresholds given by
     lambda_threshold.  The bound is a proven equality when floor(alpha) + 1
     is at most 4, which is what is_exact reports.  An n whose 2^(n+1) - 1
-    is past CPython's integer digit limit raises DomainError up front; a
-    threshold of the branch label past that limit raises it afterwards.
+    is past CPython's integer digit limit (4300 digits when the limit is
+    off) raises DomainError up front; a threshold of the branch label past
+    that limit raises it afterwards.
     """
-    _int(n, "n", 1)
-    limit = sys.get_int_max_str_digits()
-    # 2^(n+1) - 1 >= 10^limit; log2(10) > 3, so the exact test runs only near the limit
-    if limit and n + 1 > 3 * limit and n + 1 >= (10**limit).bit_length():
-        raise DomainError(f"n is too large: 2^(n+1) - 1 has more than {limit} digits, the string conversion limit")
+    _exponent(n, "n")
     alpha = as_fraction(alpha)
     if alpha <= 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
@@ -154,5 +165,5 @@ def eq_bound(n: int, alpha) -> PiecewisePrediction:
 
 def polynomial_upper_bound(degree: int) -> int:
     """Depth cap 2^(degree+1) for any polynomial tail with positive constant term."""
-    _int(degree, "degree", 1)
+    _exponent(degree, "degree")
     return 2 ** (degree + 1)

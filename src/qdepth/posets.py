@@ -10,6 +10,7 @@ counts together with a partition certifying that both depths coincide.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence as SequenceABC
 from itertools import combinations, islice
 
@@ -216,11 +217,15 @@ def sdepth_bruteforce(poset: Poset, cap: int = DEFAULT_BRUTEFORCE_CAP) -> Sdepth
     bounds the search.  Each bottom's whole intervals inside the family are
     listed once per family, the first time that bottom comes up, and serve
     every threshold; only the masks of unassigned sets proven impossible to
-    cover are remembered, since a found cover ends the search.  A set's
-    supersets are the AND of the sets holding each of its elements, and
-    its non-subsets the OR of those holding an element it lacks.  The search
-    keeps its own stack, so a family of many one-set intervals needs no
-    deeper recursion.
+    cover are remembered, since a found cover ends the search.  A state is
+    also dead when some unassigned set x below the threshold t lies in no
+    whole interval [x, D] with |D| = t among the unassigned sets: any cover
+    puts x in some [C, D'] with |D'| >= t, and so in such an [x, D].  After
+    [i, j] is taken only the sets under j can have lost one, so only they
+    are rechecked.  A set's supersets are the AND of the sets holding each
+    of its elements, and its non-subsets the OR of those holding an element
+    it lacks.  The search keeps its own stack, so a family of many one-set
+    intervals needs no deeper recursion.
     """
     s = len(poset)
     if s > _int(cap, "cap"):
@@ -264,8 +269,30 @@ def sdepth_bruteforce(poset: Poset, cap: int = DEFAULT_BRUTEFORCE_CAP) -> Sdepth
         tops.sort(key=lambda top: (-top[0], top[1]))
         return tops
 
+    def coverable(rest: int, check: int, t: int, options: list) -> bool:
+        # a cover of rest puts each set x in check, all below t, in some [C, D'] with |D'| >= t,
+        # so rest holds a whole [x, D] with x <= D <= D' and |D| = t
+        while check:
+            low = check & -check
+            check ^= low
+            x = low.bit_length() - 1
+            opts = options[x]
+            if opts is None:
+                if whole[x] is None:
+                    whole[x] = tops_of(x)
+                opts = options[x] = [members for size, _, members in whole[x] if size == t]
+            for members in opts:
+                if members & rest == members:
+                    break
+            else:
+                return False
+        return True
+
     def cover(t: int) -> tuple | None:
         dead: set[int] = set()
+        below = (1 << bisect_left(sizes, t)) - 1  # the sets of size below t, a prefix
+        # per set x below t: the members of every whole [x, D] with |D| = t, built on first use
+        options: list[list | None] = [None] * s
         stack = []  # (unassigned sets, bottom, untried tops, top taken) of each state on the path
         remaining = full
         while remaining:
@@ -274,7 +301,7 @@ def sdepth_bruteforce(poset: Poset, cap: int = DEFAULT_BRUTEFORCE_CAP) -> Sdepth
             if tops is None:
                 tops = whole[i] = tops_of(i)
             untried = iter(tops)
-            # take the next top that fits and leaves no known dead state, else backtrack
+            # take the next top that fits and leaves a coverable state, else backtrack
             while True:
                 rest = None
                 for size, j, members in untried:
@@ -282,7 +309,12 @@ def sdepth_bruteforce(poset: Poset, cap: int = DEFAULT_BRUTEFORCE_CAP) -> Sdepth
                         break
                     if members & remaining == members and remaining ^ members not in dead:
                         rest = remaining ^ members
-                        break
+                        # only the sets under j can have lost a whole interval
+                        check = sub[j] & rest & below
+                        if not check or coverable(rest, check, t, options):
+                            break
+                        dead.add(rest)
+                        rest = None
                 if rest is not None:
                     break
                 dead.add(remaining)

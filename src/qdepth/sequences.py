@@ -144,6 +144,10 @@ class FiniteSequence(Sequence):
     def support_end(self) -> int:
         return self.offset + len(self.values) - 1
 
+    def window(self, hi: int) -> "FiniteSequence":
+        # the zeros past the support would only be trimmed away again
+        return super().window(min(_index(self, hi, "window end {}"), self.support_end))
+
     def value_at(self, j: int) -> int:
         i = j - self.offset
         if 0 <= i < len(self.values):

@@ -153,6 +153,42 @@ def test_eq_bound_refuses_an_unprintable_power_before_building_it():
         sys.set_int_max_str_digits(limit)
 
 
+def test_closed_forms_refuse_a_huge_exponent_before_building_it():
+    # 2^(n+1), 4^n or a list of n coefficients would exhaust memory first
+    with pytest.raises(DomainError, match="degree is too large"):
+        polynomial_upper_bound(10**12)
+    with pytest.raises(DomainError, match="n is too large"):
+        lambda_threshold(10**12, 2)
+    with pytest.raises(DomainError, match="degree is too large"):
+        monomial_plus_constant(1, 1, 10**9)
+    with pytest.raises(DomainError, match="n is too large"):
+        compare_alpha1(3, 10**12)
+    with pytest.raises(DomainError, match="n is too large"):
+        eq_bound(10**12, 3)
+
+
+def test_closed_forms_share_one_exponent_limit():
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        # 2^(n+1) - 1 has 640 digits at the edge and 641 past it
+        edge = (10**640).bit_length() - 2
+        calls = (polynomial_upper_bound, lambda n: lambda_threshold(n, 2),
+                 lambda n: monomial_plus_constant(1, 1, n), lambda n: compare_alpha1(3, n), lambda n: eq_bound(n, 3))
+        for call in calls:
+            call(edge)
+            with pytest.raises(DomainError, match="more than 640 digits"):
+                call(edge + 1)
+        sys.set_int_max_str_digits(0)  # off: CPython's default limit applies
+        past = (10**sys.int_info.default_max_str_digits).bit_length() - 1
+        for call in calls:
+            call(past - 1)
+            with pytest.raises(DomainError, match=f"more than {sys.int_info.default_max_str_digits} digits"):
+                call(past)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_eq_bound_refuses_an_unprintable_branch_threshold():
     # 2^1502 - 1 has 453 digits, but the thresholds around 2^1501 have more than 640
     limit = sys.get_int_max_str_digits()

@@ -505,6 +505,11 @@ def test_window_materializes_tails():
         p.window(-1)
 
 
+def test_finite_window_far_past_the_support_returns_at_once():
+    h = FiniteSequence(0, [1, 2, 1])
+    assert h.window(10**9) == h.window(2) == h
+
+
 def test_json_round_trip():
     cases = [
         WORKED,
