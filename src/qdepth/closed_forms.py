@@ -44,18 +44,20 @@ def as_fraction(x) -> Fraction:
     raise DomainError(f"not an exact rational: {x!r}")
 
 
-def _exponent(n: int, what: str) -> None:
+def _exponent(n: int, what: str, squared: bool = False) -> None:
     """DomainError unless n is an integer at least 1 and 2^(n+1) - 1 prints within the digit limit.
 
-    The limit is CPython's integer string conversion limit, or its default of
-    4300 digits when that limit is off.  Every closed form here builds 2^n or
-    n coefficients, so this refusal bounds the work before either is built.
+    With squared, (2^(n+1))^2 - 1 must print instead.  The limit is CPython's
+    integer string conversion limit, or its default of 4300 digits when that
+    limit is off.  Every closed form here builds 2^n or n coefficients, so
+    this refusal bounds the work before either is built.
     """
-    _int(n, what, 1)
+    bits = (_int(n, what, 1) + 1) * (2 if squared else 1)
     limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-    # 2^(n+1) - 1 >= 10^limit; log2(10) > 3, so the exact test runs only near the limit
-    if n + 1 > 3 * limit and n + 1 >= (10**limit).bit_length():
-        raise DomainError(f"{what} is too large: 2^({what}+1) - 1 has more than {limit} digits, the string conversion limit")
+    # 2^bits - 1 >= 10^limit; log2(10) > 3, so the exact test runs only near the limit
+    if bits > 3 * limit and bits >= (10**limit).bit_length():
+        power = f"2^(2{what}+2)" if squared else f"2^({what}+1)"
+        raise DomainError(f"{what} is too large: {power} - 1 has more than {limit} digits, the string conversion limit")
 
 
 def monomial_plus_constant(a: int, b: int, degree: int) -> PolynomialSequence:
@@ -93,9 +95,11 @@ def lambda_threshold(n: int, m: int) -> Fraction:
     """The alpha at which the depth bound for a*j^n + b drops to 2^n + m - 1.
 
     Defined for 2 <= m <= 2^n; the subscript convention indexes the value
-    as lambda_(2^n + 1 - m).  Thresholds grow strictly as m decreases.
+    as lambda_(2^n + 1 - m).  Thresholds grow strictly as m decreases.  The
+    numerator, about 4^n, lies below 2^(2n+2), so that bound is refused
+    before anything is built and every value returned can be printed.
     """
-    _exponent(n, "n")
+    _exponent(n, "n", squared=True)
     if not 2 <= _int(m, "m") <= 2**n:
         raise DomainError(f"m must lie in [2, {2**n}], got {m}")
     num = m * m + m * (2 ** (n + 1) - 3) + 4**n - 3 * 2**n + 4
@@ -132,8 +136,8 @@ def eq_bound(n: int, alpha) -> PiecewisePrediction:
     lambda_threshold.  The bound is a proven equality when floor(alpha) + 1
     is at most 4, which is what is_exact reports.  An n whose 2^(n+1) - 1
     is past CPython's integer digit limit (4300 digits when the limit is
-    off) raises DomainError up front; a threshold of the branch label past
-    that limit raises it afterwards.
+    off) raises DomainError up front; a threshold of the branch label that
+    lambda_threshold refuses raises it afterwards.
     """
     _exponent(n, "n")
     alpha = as_fraction(alpha)
@@ -156,8 +160,8 @@ def eq_bound(n: int, alpha) -> PiecewisePrediction:
     try:  # the branch is (lambda(x + 2), lambda(x + 1)], where the bound is 2^n + x + 1
         low = f"[{top}" if x == x_max else f"({lambda_threshold(n, x + 2)}"
         high = "inf)" if x == 0 else f"{lambda_threshold(n, x + 1)}]"
-    except ValueError:  # Fraction.__str__ on a threshold part past the digit limit
-        limit = sys.get_int_max_str_digits()
+    except DomainError:  # lambda_threshold refuses a threshold that might not print
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
         message = f"a threshold in the branch label has more than {limit} digits, the string conversion limit"
         raise DomainError(message) from None
     return PiecewisePrediction(2**n + x + 1, f"alpha in {low},{high}", exact)

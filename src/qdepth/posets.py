@@ -10,9 +10,11 @@ counts together with a partition certifying that both depths coincide.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence as SequenceABC
-from itertools import combinations, islice
+from itertools import accumulate, chain, combinations, islice
+from operator import eq, itemgetter
 
 from . import engine
 from .errors import DomainError, SchemaError
@@ -90,10 +92,7 @@ class Poset(Record):
         return dict(sorted(counts.items()))
 
     def level_sequence(self) -> FiniteSequence:
-        counts = self.level_counts()
-        lo = min(counts)
-        hi = max(counts)
-        return FiniteSequence(lo, [counts.get(k, 0) for k in range(lo, hi + 1)])
+        return _level_sequence(self.level_counts())
 
     def sorted_masks(self) -> list[int]:
         return sorted(self.sets, key=lambda m: (m.bit_count(), m))
@@ -103,6 +102,10 @@ class Poset(Record):
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "sets": [list(elements_from_mask(m)) for m in self.sorted_masks()]}
+
+
+def _level_sequence(counts: Mapping[int, int]) -> FiniteSequence:
+    return FiniteSequence(0, [counts.get(k, 0) for k in range(max(counts) + 1)])  # trimmed to the lowest level
 
 
 def poset_qdepth(poset: Poset) -> engine.QDepthResult:
@@ -124,7 +127,7 @@ class IntervalPartition(Record):
     def sdepth(self) -> int:
         if not self.intervals:
             raise DomainError("no intervals given")
-        return min(d.bit_count() for _, d in self.intervals)
+        return min(map(int.bit_count, map(itemgetter(1), self.intervals)))
 
     def to_json_dict(self) -> dict:
         return {
@@ -155,48 +158,59 @@ def validate_partition(partition: IntervalPartition) -> ValidationReport:
 
     Clauses, in order: each bottom lies under its top, every interval stays
     inside the family, intervals are pairwise disjoint, and every family
-    member is covered.  One pass, linear in the interval sizes, maps each
-    member to its first interval and names the smallest overlapping pair.
+    member is covered.  Each clause is decided at once on the streamed
+    interval members: a subset test against the family, the member count
+    against the distinct count, that count against the family size.  An
+    interval larger than the family is never enumerated.  Only a failed
+    clause is scanned again, to name its first offender: for an overlap,
+    the smallest pair in index order.
     """
     target = partition.target
     intervals = partition.intervals
     if not intervals:
         return ValidationReport(False, None, "no intervals given")
+    # iterators over the bounds: copying them out, or zip(*intervals), costs memory and collections
+    bottom, top = itemgetter(0), itemgetter(1)
+    singletons = all(map(eq, map(bottom, intervals), map(top, intervals)))
+    if max(map(top, intervals)) >> target.n or not singletons and any(c & ~d for c, d in intervals):
+        for c, d in intervals:
+            if c & ~d:
+                return ValidationReport(False, None, f"bottom {_fmt(c)} is not contained in top {_fmt(d)}")
+            if d >> target.n:
+                return ValidationReport(False, None, f"top {_fmt(d)} exceeds the ground set [1, {target.n}]")
 
-    for c, d in intervals:
-        if c & ~d:
-            return ValidationReport(False, None, f"bottom {_fmt(c)} is not contained in top {_fmt(d)}")
-        if d >> target.n:
-            return ValidationReport(False, None, f"top {_fmt(d)} exceeds the ground set [1, {target.n}]")
+    family = target.sets
+    sizes = [1] * len(intervals) if singletons else [1 << (d ^ c).bit_count() for c, d in intervals]
+    large = next(j for j, k in enumerate(sizes) if k > len(family)) if max(sizes) > len(family) else None
 
-    size = len(target.sets)
-    owner: dict[int, int] = {}
-    overlap = None
-    for j, (c, d) in enumerate(intervals):
-        span = 1 << (d.bit_count() - c.bit_count())
-        if span > size:
-            return ValidationReport(
-                False, None,
-                f"interval [{_fmt(c)},{_fmt(d)}] has {span} members but the family has only {size}",
-            )
-        for member in interval_members(c, d):
-            if member not in target.sets:
-                return ValidationReport(
-                    False, None,
-                    f"interval [{_fmt(c)},{_fmt(d)}] contains {_fmt(member)}, which is not in the family",
-                )
-            i = owner.setdefault(member, j)  # the smallest index holding member
-            if i != j and (overlap is None or (i, j) < overlap):
-                overlap = (i, j)
+    def members() -> Iterable[int]:
+        """The members of the intervals before the first one larger than the family, in order."""
+        if singletons:
+            return map(bottom, intervals)
+        return chain.from_iterable((c,) if c == d else interval_members(c, d) for c, d in intervals[:large])
 
-    if overlap is not None:
-        (c1, d1), (c2, d2) = (intervals[i] for i in overlap)
-        return ValidationReport(
-            False, None, f"intervals [{_fmt(c1)},{_fmt(d1)}] and [{_fmt(c2)},{_fmt(d2)}] overlap"
-        )
-    for member in target.sets:
-        if member not in owner:
-            return ValidationReport(False, None, f"family member {_fmt(member)} is not covered")
+    if not family.issuperset(members()):
+        p, m = next((p, m) for p, m in enumerate(members()) if m not in family)
+        c, d = intervals[bisect_right(list(accumulate(sizes)), p)]  # the interval holding position p
+        reason = f"interval [{_fmt(c)},{_fmt(d)}] contains {_fmt(m)}, which is not in the family"
+        return ValidationReport(False, None, reason)
+    if large is not None:
+        c, d = intervals[large]
+        reason = f"interval [{_fmt(c)},{_fmt(d)}] has {sizes[large]} members but the family has only {len(family)}"
+        return ValidationReport(False, None, reason)
+    total = sum(sizes)
+    covered = set(members()) if total <= len(family) else ()  # else some member is held twice
+    if len(covered) < total:
+        # the first interval holding a member held twice, and the first later one it meets
+        counts = Counter(members())
+        p = next(p for p, m in enumerate(members()) if counts[m] > 1)
+        i = p if singletons else bisect_right(list(accumulate(sizes)), p)
+        c1, d1 = intervals[i]
+        c2, d2 = next((c, d) for c, d in intervals[i + 1:] if not (c | c1) & ~(d & d1))
+        return ValidationReport(False, None, f"intervals [{_fmt(c1)},{_fmt(d1)}] and [{_fmt(c2)},{_fmt(d2)}] overlap")
+    if len(covered) < len(family):
+        missing = next(m for m in family if m not in covered)
+        return ValidationReport(False, None, f"family member {_fmt(missing)} is not covered")
 
     return ValidationReport(True, partition.sdepth, None)
 
@@ -451,11 +465,12 @@ def realize(h: Sequence) -> RealizationResult:
 
     if not report.ok:
         raise AssertionError(f"realization failed validation: {report.reason}")
-    if poset.level_counts() != {k: v for k, v in window_counts.items() if v}:
+    counts = poset.level_counts()
+    if counts != {k: v for k, v in window_counts.items() if v}:
         raise AssertionError("realization does not reproduce the level counts")
-    if partition.sdepth != d:
+    if report.sdepth != d:
         raise AssertionError("realization partition depth differs from the sequence depth")
-    if poset_qdepth(poset).qdepth != d:
+    if engine.qdepth(_level_sequence(counts)).qdepth != d:
         raise AssertionError("realization family depth differs from the sequence depth")
 
     return RealizationResult(m, d, ground_size, b, poset, partition, report)

@@ -99,6 +99,8 @@ class Sequence(Record):
 
 def _int(v: int, what: str, least: int | None = None) -> int:
     """v itself when it is an int, not a bool, and at least `least`; DomainError otherwise."""
+    if type(v) is int and (least is None or v >= least):
+        return v
     if isinstance(v, bool) or not isinstance(v, int):
         raise DomainError(f"{what} must be an integer, got {v!r}")
     if least is not None and v < least:

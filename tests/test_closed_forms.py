@@ -173,8 +173,9 @@ def test_closed_forms_share_one_exponent_limit():
         sys.set_int_max_str_digits(640)
         # 2^(n+1) - 1 has 640 digits at the edge and 641 past it
         edge = (10**640).bit_length() - 2
-        calls = (polynomial_upper_bound, lambda n: lambda_threshold(n, 2),
-                 lambda n: monomial_plus_constant(1, 1, n), lambda n: compare_alpha1(3, n), lambda n: eq_bound(n, 3))
+        # lambda_threshold's numerator holds 4^n, so its own limit is tighter (the test below)
+        calls = (polynomial_upper_bound, lambda n: monomial_plus_constant(1, 1, n),
+                 lambda n: compare_alpha1(3, n), lambda n: eq_bound(n, 3))
         for call in calls:
             call(edge)
             with pytest.raises(DomainError, match="more than 640 digits"):
@@ -185,6 +186,25 @@ def test_closed_forms_share_one_exponent_limit():
             call(past - 1)
             with pytest.raises(DomainError, match=f"more than {sys.int_info.default_max_str_digits} digits"):
                 call(past)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_lambda_threshold_refuses_an_unprintable_numerator_before_building_it():
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        # 2^10001 - 1 prints, but the numerator, above 4^10000, has about 6,000 digits
+        with pytest.raises(DomainError, match="n is too large.*more than 4300 digits"):
+            lambda_threshold(10_000, 2)
+        sys.set_int_max_str_digits(640)
+        # 2^(2n+2) - 1 has 640 digits at the edge and 641 past it; every threshold at the edge prints
+        edge = (10**640).bit_length() // 2 - 1
+        assert len(str(2 ** (2 * edge + 2) - 1)) == 640
+        for m in (2, 3, 2**edge - 1, 2**edge):
+            str(lambda_threshold(edge, m))
+        with pytest.raises(DomainError, match="more than 640 digits"):
+            lambda_threshold(edge + 1, 2)
     finally:
         sys.set_int_max_str_digits(limit)
 

@@ -225,9 +225,9 @@ def _random_valid_partition(rng, family: list[int]) -> list:
     return intervals
 
 
-def _corrupt(rng, n: int, family: list[int], intervals: list) -> None:
-    """One random corruption: a duplicate, a dropped or an arbitrary interval."""
-    roll = rng.random()
+def _corrupt(rng, n: int, family: list[int], intervals: list, roll: float | None = None) -> None:
+    """One corruption: a duplicate, a dropped or an arbitrary interval; roll picks the kind."""
+    roll = rng.random() if roll is None else roll
     if roll < 0.3:
         intervals.insert(rng.randint(0, len(intervals)), rng.choice(intervals))
     elif roll < 0.5 and len(intervals) > 1:
@@ -255,6 +255,39 @@ def test_validate_partition_matches_pairwise_oracle():
         assert (report.ok, report.sdepth, report.reason) == expected, intervals
         seen.add(expected[2].split()[0] if expected[2] else "valid")
     assert {"valid", "bottom", "top", "interval", "intervals", "family"} <= seen
+
+    # up to 128 sets over [7], mostly one-set intervals in random order: there the checks on all
+    # members at once differ most from a member-by-member scan; each kind of corruption once and twice
+    seen.clear()
+    for roll in (None, 0.1, 0.4, 0.6, 0.9):
+        for count in (1, 2):
+            family = rng.sample(range(1 << 7), rng.randint(64, 128))
+            intervals = []
+            for c, d in _random_valid_partition(rng, family):
+                intervals += [(c, d)] if rng.random() < 0.2 else [(m, m) for m in interval_members(c, d)]
+            rng.shuffle(intervals)
+            for _ in range(0 if roll is None else count):
+                _corrupt(rng, 7, family, intervals, roll)
+            poset = Poset(7, frozenset(family))
+            report = validate_partition(IntervalPartition(poset, tuple(intervals)))
+            expected = oracle_partition_report(7, poset.sets, intervals)
+            assert (report.ok, report.sdepth, report.reason) == expected, intervals
+            seen.add(expected[2].split()[0] if expected[2] else "valid")
+    assert {"valid", "interval", "intervals", "family"} <= seen
+
+
+def test_validate_partition_refuses_a_huge_interval_before_enumerating_it():
+    poset = Poset.from_iterables(60, [[1], [2], [1, 2]])
+    partition = IntervalPartition(poset, ((0, (1 << 60) - 1),))
+    tracemalloc.start()
+    try:
+        report = validate_partition(partition)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    top = ",".join(str(e) for e in range(1, 61))
+    assert report.reason == f"interval [{{}},{{{top}}}] has 1152921504606846976 members but the family has only 3"
+    assert peak < 1_000_000
 
 
 def test_trivial_partition_is_valid():

@@ -1,6 +1,7 @@
 """Sequence kinds, support stats, and the alternating binomial transform."""
 
 import copy
+import enum
 import math
 import pickle
 import random
@@ -266,6 +267,25 @@ def test_index_arguments_must_be_ints(name, call, value):
     with pytest.raises(DomainError, match=re.escape(f"must be an integer, got {value!r}")) as info:
         call(value)
     assert str(info.value).startswith(name)
+
+
+class _Level(enum.IntEnum):
+    THREE = 3
+
+
+@pytest.mark.parametrize(
+    "value, least, error",
+    [(True, None, "must be an integer, got True"), (_Level.THREE, 0, None), (-1, 0, "must be at least 0, got -1"),
+     (1.0, None, "must be an integer, got 1.0"), ("1", None, "must be an integer, got '1'")],
+    ids=["bool", "int-enum", "negative", "float", "string"],
+)
+def test_int_check_behind_its_fast_path(value, least, error):
+    # the fast path takes exact ints only; everything else meets the full checks
+    if error is None:
+        assert sequences._int(value, "count", least) is value
+    else:
+        with pytest.raises(DomainError, match=re.escape(f"count {error}")):
+            sequences._int(value, "count", least)
 
 
 def test_beta_table_refuses_over_budget_before_building(monkeypatch):
