@@ -19,7 +19,7 @@ from operator import eq, itemgetter
 from . import engine
 from .errors import DomainError, SchemaError
 from .records import Record
-from .sequences import DEFAULT_BRUTEFORCE_CAP, FiniteSequence, Sequence, _int
+from .sequences import DEFAULT_BRUTEFORCE_CAP, ENTRY_BUDGET, FiniteSequence, Sequence, _int
 
 MAX_GROUND_SIZE = 63
 
@@ -92,7 +92,8 @@ class Poset(Record):
         return dict(sorted(counts.items()))
 
     def level_sequence(self) -> FiniteSequence:
-        return _level_sequence(self.level_counts())
+        counts = self.level_counts()
+        return FiniteSequence(0, [counts.get(k, 0) for k in range(max(counts) + 1)])  # trimmed to the lowest level
 
     def sorted_masks(self) -> list[int]:
         return sorted(self.sets, key=lambda m: (m.bit_count(), m))
@@ -102,10 +103,6 @@ class Poset(Record):
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "sets": [list(elements_from_mask(m)) for m in self.sorted_masks()]}
-
-
-def _level_sequence(counts: Mapping[int, int]) -> FiniteSequence:
-    return FiniteSequence(0, [counts.get(k, 0) for k in range(max(counts) + 1)])  # trimmed to the lowest level
 
 
 def poset_qdepth(poset: Poset) -> engine.QDepthResult:
@@ -160,10 +157,13 @@ def validate_partition(partition: IntervalPartition) -> ValidationReport:
     inside the family, intervals are pairwise disjoint, and every family
     member is covered.  Each clause is decided at once on the streamed
     interval members: a subset test against the family, the member count
-    against the distinct count, that count against the family size.  An
-    interval larger than the family is never enumerated.  Only a failed
-    clause is scanned again, to name its first offender: for an overlap,
-    the smallest pair in index order.
+    against the distinct count, that count against the family size.  At
+    most len(family) + 1 members of an interval are read, since by then an
+    interval must hold a set outside the family; intervals holding more
+    than max(len(family), ENTRY_BUDGET) members, each counted up to that
+    limit, are refused with DomainError before any member is read.  Only a
+    failed clause is scanned again, to name its first offender: for an
+    overlap, the smallest pair in index order.
     """
     target = partition.target
     intervals = partition.intervals
@@ -180,25 +180,24 @@ def validate_partition(partition: IntervalPartition) -> ValidationReport:
                 return ValidationReport(False, None, f"top {_fmt(d)} exceeds the ground set [1, {target.n}]")
 
     family = target.sets
-    sizes = [1] * len(intervals) if singletons else [1 << (d ^ c).bit_count() for c, d in intervals]
-    large = next(j for j, k in enumerate(sizes) if k > len(family)) if max(sizes) > len(family) else None
+    read = len(family) + 1  # by then an interval must hold a set outside the family
+    sizes = [1] * len(intervals) if singletons else [min(1 << (d ^ c).bit_count(), read) for c, d in intervals]
+    total = sum(sizes)
+    budget = max(len(family), ENTRY_BUDGET)
+    if total > budget:
+        raise DomainError(f"intervals hold at least {total} members, over the budget of {budget}")
 
     def members() -> Iterable[int]:
-        """The members of the intervals before the first one larger than the family, in order."""
+        """The first len(family) + 1 members of each interval, in order."""
         if singletons:
             return map(bottom, intervals)
-        return chain.from_iterable((c,) if c == d else interval_members(c, d) for c, d in intervals[:large])
+        return chain.from_iterable((c,) if c == d else islice(interval_members(c, d), read) for c, d in intervals)
 
     if not family.issuperset(members()):
         p, m = next((p, m) for p, m in enumerate(members()) if m not in family)
         c, d = intervals[bisect_right(list(accumulate(sizes)), p)]  # the interval holding position p
         reason = f"interval [{_fmt(c)},{_fmt(d)}] contains {_fmt(m)}, which is not in the family"
         return ValidationReport(False, None, reason)
-    if large is not None:
-        c, d = intervals[large]
-        reason = f"interval [{_fmt(c)},{_fmt(d)}] has {sizes[large]} members but the family has only {len(family)}"
-        return ValidationReport(False, None, reason)
-    total = sum(sizes)
     covered = set(members()) if total <= len(family) else ()  # else some member is held twice
     if len(covered) < total:
         # the first interval holding a member held twice, and the first later one it meets
@@ -432,7 +431,9 @@ def realize(h: Sequence) -> RealizationResult:
     intervals over a shared pool of fresh elements, so the whole support is
     realized.  The ground size is known before any set is built, and inputs
     needing more than MAX_GROUND_SIZE elements are rejected up front.  The
-    intervals are disjoint by construction; the postconditions are checked.
+    intervals are disjoint by construction; the partition, the level counts
+    and the partition depth are checked.  Level counts equal to the shifted
+    window give the family depth d without a second depth search.
     """
     m = h.stats().k0 - 1
     g = h.shifted(m)
@@ -465,13 +466,10 @@ def realize(h: Sequence) -> RealizationResult:
 
     if not report.ok:
         raise AssertionError(f"realization failed validation: {report.reason}")
-    counts = poset.level_counts()
-    if counts != {k: v for k, v in window_counts.items() if v}:
+    if poset.level_counts() != {k: v for k, v in window_counts.items() if v}:
         raise AssertionError("realization does not reproduce the level counts")
     if report.sdepth != d:
         raise AssertionError("realization partition depth differs from the sequence depth")
-    if engine.qdepth(_level_sequence(counts)).qdepth != d:
-        raise AssertionError("realization family depth differs from the sequence depth")
 
     return RealizationResult(m, d, ground_size, b, poset, partition, report)
 

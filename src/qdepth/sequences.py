@@ -147,8 +147,8 @@ class FiniteSequence(Sequence):
         return self.offset + len(self.values) - 1
 
     def window(self, hi: int) -> "FiniteSequence":
-        # the zeros past the support would only be trimmed away again
-        return super().window(min(_index(self, hi, "window end {}"), self.support_end))
+        # the slice stops at the support end: the zeros past it would only be trimmed away again
+        return FiniteSequence(self.offset, self.values[: _index(self, hi, "window end {}") - self.offset + 1])
 
     def value_at(self, j: int) -> int:
         i = j - self.offset

@@ -68,11 +68,11 @@ def _members(bottom: int, top: int) -> list[int]:
 def oracle_partition_report(n: int, family, intervals) -> tuple:
     """(ok, sdepth, reason) of a partition, clause by clause and pair by pair.
 
-    Clauses in order: bottoms under tops inside [1, n]; intervals no larger
-    than the family and inside it (the largest outside mask is named); no
-    two intervals sharing a member (the first pair in index order is
-    named); every member covered (the first missing one in the family's
-    iteration order is named); interval sizes adding up to the family size.
+    Clauses in order: bottoms under tops inside [1, n]; intervals inside
+    the family (the largest outside mask is named); no two intervals
+    sharing a member (the first pair in index order is named); every
+    member covered (the first missing one in the family's iteration order
+    is named); interval sizes adding up to the family size.
     """
     family = frozenset(family)
     if not intervals:
@@ -83,10 +83,6 @@ def oracle_partition_report(n: int, family, intervals) -> tuple:
         if d >> n:
             return False, None, f"top {_set_text(d)} exceeds the ground set [1, {n}]"
     for c, d in intervals:
-        span = 2 ** (bin(d).count("1") - bin(c).count("1"))
-        if span > len(family):
-            return (False, None, f"interval [{_set_text(c)},{_set_text(d)}] has {span} members "
-                    f"but the family has only {len(family)}")
         for m in _members(c, d):
             if m not in family:
                 return (False, None, f"interval [{_set_text(c)},{_set_text(d)}] contains "

@@ -2,8 +2,9 @@
 
 import random
 import re
+import time
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
@@ -19,6 +20,7 @@ from qdepth import (
     FiniteSequence,
     GeometricSequence,
     IntervalPartition,
+    PolynomialSequence,
     Poset,
     SchemaError,
     binomial,
@@ -33,6 +35,7 @@ from qdepth import (
     sdepth_bruteforce,
     validate_partition,
 )
+from qdepth import posets
 
 WORKED_FAMILY = [
     [1], [2], [1, 2], [1, 3], [2, 3], [1, 4],
@@ -286,8 +289,49 @@ def test_validate_partition_refuses_a_huge_interval_before_enumerating_it():
     finally:
         tracemalloc.stop()
     top = ",".join(str(e) for e in range(1, 61))
-    assert report.reason == f"interval [{{}},{{{top}}}] has 1152921504606846976 members but the family has only 3"
+    assert report.reason == f"interval [{{}},{{{top}}}] contains {{{top}}}, which is not in the family"
     assert peak < 1_000_000
+
+
+def test_validate_partition_reads_at_most_one_more_member_than_the_family(monkeypatch):
+    # the family is the first five of the 2048 sets [{1}, [12]] lists, so the sixth lies outside it
+    family = list(islice(interval_members(1, 4095), 5))
+    sixth = list(islice(interval_members(1, 4095), 6))[-1]
+    read = []
+    real = posets.interval_members
+    monkeypatch.setattr(posets, "interval_members", lambda c, d: (read.append(m) or m for m in real(c, d)))
+    report = validate_partition(IntervalPartition(Poset(12, frozenset(family)), ((1, 4095),)))
+    outside = ",".join(map(str, elements_from_mask(sixth)))
+    assert report.reason == f"interval [{{1}},{{1,2,3,4,5,6,7,8,9,10,11,12}}] contains {{{outside}}}, which is not in the family"
+    assert len(read) <= 2 * 6  # the subset test, then the scan naming the offender
+
+
+def test_validate_partition_refuses_over_budget_before_reading_a_member(monkeypatch):
+    poset = Poset(12, frozenset(range(1 << 12)))
+    whole = (0, (1 << 12) - 1)
+    real = posets.interval_members
+    monkeypatch.setattr(posets, "interval_members", lambda c, d: pytest.fail("a member was read"))
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="^intervals hold at least 40960000 members, over the budget of 2000000$"):
+        validate_partition(IntervalPartition(poset, (whole,) * 10_000))
+    assert time.perf_counter() - start < 0.5
+    # each interval counts up to len(family) + 1 members, however large it is
+    big = Poset(40, frozenset(range(1 << 12)))
+    with pytest.raises(DomainError, match="at least 8194000 members"):
+        validate_partition(IntervalPartition(big, ((0, (1 << 40) - 1),) * 2000))
+    monkeypatch.setattr(posets, "interval_members", real)
+    # at the budget the overlap is named, one interval past it the call is refused
+    monkeypatch.setattr(posets, "ENTRY_BUDGET", 2 << 12)
+    report = validate_partition(IntervalPartition(poset, (whole,) * 2))
+    assert report.reason == "intervals [{},{1,2,3,4,5,6,7,8,9,10,11,12}] and [{},{1,2,3,4,5,6,7,8,9,10,11,12}] overlap"
+    with pytest.raises(DomainError, match="at least 12288 members, over the budget of 8192"):
+        validate_partition(IntervalPartition(poset, (whole,) * 3))
+    # a valid partition holds exactly len(family) members, so no budget refuses it
+    monkeypatch.setattr(posets, "ENTRY_BUDGET", 1)
+    assert validate_partition(IntervalPartition(poset, (whole,))).ok
+    assert validate_partition(IntervalPartition(poset, tuple((m, m) for m in range(1 << 12)))).ok
+    with pytest.raises(DomainError, match="at least 4097 members, over the budget of 4096"):
+        validate_partition(IntervalPartition(poset, (whole, (0, 0))))
 
 
 def test_trivial_partition_is_valid():
@@ -561,15 +605,23 @@ def test_realize_random_round_trip():
 
 
 def test_realize_tail_covers_window_only():
-    h = GeometricSequence(1, 2)
-    result = realize(h)
-    assert result.validation.ok
-    assert result.depth == qdepth_value(h) - result.m
-    g = h.shifted(result.m)
-    assert result.poset.level_counts() == {
-        j: g.value_at(j) for j in range(1, result.depth + 1)
-    }
-    assert poset_qdepth(result.poset).qdepth == result.depth
+    tails = [
+        GeometricSequence(1, 2),
+        GeometricSequence(1, 1),
+        GeometricSequence(2, 2, 2),
+        PolynomialSequence([1, 1]),
+        PolynomialSequence([1, 0, 1], 1),
+        PolynomialSequence([1, 1, 1]),  # depth 4 on 52 ground elements
+    ]
+    for h in tails:
+        result = realize(h)
+        assert result.validation.ok
+        assert result.depth == qdepth_value(h) - result.m
+        g = h.shifted(result.m)
+        assert result.poset.level_counts() == {
+            j: g.value_at(j) for j in range(1, result.depth + 1)
+        }
+        assert poset_qdepth(result.poset).qdepth == result.depth, h
 
 
 def test_realize_respects_ground_cap():

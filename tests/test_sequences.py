@@ -530,6 +530,15 @@ def test_finite_window_far_past_the_support_returns_at_once():
     assert h.window(10**9) == h.window(2) == h
 
 
+def test_finite_window_slice_equals_the_generic_path():
+    # support [-2, 4] with the interior zero run h(0) = h(1) = 0
+    h = FiniteSequence(-2, [3, 1, 0, 0, 2, 0, 5])
+    for hi in (-2, -1, 0, 1, 2, 3, 4, 5, 9):
+        assert h.window(hi) == sequences.Sequence.window(h, hi)
+    with pytest.raises(DomainError, match=r"^window end -3 lies below the support start -2$"):
+        h.window(-3)
+
+
 def test_json_round_trip():
     cases = [
         WORKED,
