@@ -12,19 +12,17 @@ as usage text.  JSON output is deterministic: keys sorted, big integers as strin
 `--format table` prints the same dict as aligned `key  value` lines (see _emit).
 """
 
-from __future__ import annotations
-
 import argparse
 import contextlib
 import gc
 import json
 import sys
 
-from . import engine
 from .errors import DomainError, SchemaError
-from .sequences import DEFAULT_BRUTEFORCE_CAP, GeometricSequence, Sequence, beta_table, sequence_from_json_dict
+from .sequences import DEFAULT_BRUTEFORCE_CAP, ENTRY_BUDGET, GeometricSequence, Sequence, beta_table
+from .sequences import sequence_from_json_dict
 
-# posets, closed_forms and csv are imported by the commands that use them
+# engine, posets, closed_forms and csv are imported by the commands that use them
 
 
 def load_json_arg(raw: str, what: str):
@@ -81,7 +79,9 @@ def _emit(obj, args, out) -> None:
 
 
 def cmd_qdepth(args, out) -> None:
-    _emit(engine.qdepth(_load_sequence(args)).to_json_dict(), args, out)
+    h = _load_sequence(args)  # first, so that malformed input never loads engine
+    from . import engine
+    _emit(engine.qdepth(h).to_json_dict(), args, out)
 
 
 def cmd_beta_table(args, out) -> None:
@@ -102,7 +102,7 @@ _FAMILIES = {
 
 def _family_check(family: str, a: int, b: int) -> dict:
     """The closed-form prediction for one family member against the engine's depth."""
-    from . import closed_forms
+    from . import closed_forms, engine
     predict, sequence, _ = _FAMILIES[family]
     prediction = predict(closed_forms, a, b)
     computed = engine.qdepth_value(sequence(closed_forms, a, b))
@@ -168,6 +168,9 @@ def cmd_sweep(args, out) -> None:
     from . import closed_forms
     a_range = _parse_range(args.a_range, "a-range")
     b_range = _parse_range(args.b_range, "b-range")
+    points = (a_range.stop - a_range.start) * (b_range.stop - b_range.start)  # len() overflows past sys.maxsize
+    if points > ENTRY_BUDGET:
+        raise DomainError(f"sweep grid has {points} points, over the budget of {ENTRY_BUDGET}")
     alpha = _FAMILIES[args.family][2]
     rows = []
     for a in a_range:

@@ -8,8 +8,6 @@ irrational boundary is compared by squaring, so pairs that sit exactly on
 a threshold are classified correctly.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from fractions import Fraction

@@ -16,8 +16,6 @@ accepted table and the DepthCheck of the row where the scan stopped,
 whose first negative entry rules out every larger candidate.
 """
 
-from __future__ import annotations
-
 from itertools import pairwise
 
 from .errors import DomainError
@@ -113,7 +111,7 @@ def qdepth_value(h: Sequence) -> int:
 
 
 def qdepth_at_least(h: Sequence, d: int) -> DepthCheck:
-    """Test one candidate depth by reading row d from beta_table (a polynomial tail's row alone), in budget."""
+    """Test one candidate depth by reading row d from beta_table, in budget."""
     table = beta_table(h, _index(h, d, "candidate depth {}"))
     k = table.first_negative
     return DepthCheck(d, k is None, k, table.entries.get(k))

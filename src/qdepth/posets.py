@@ -7,8 +7,6 @@ small instances, and builds a family realizing a given sequence as level
 counts together with a partition certifying that both depths coincide.
 """
 
-from __future__ import annotations
-
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
@@ -96,7 +94,7 @@ class Poset(Record):
         return FiniteSequence(0, [counts.get(k, 0) for k in range(max(counts) + 1)])  # trimmed to the lowest level
 
     def sorted_masks(self) -> list[int]:
-        return sorted(self.sets, key=lambda m: (m.bit_count(), m))
+        return sorted(sorted(self.sets), key=int.bit_count)
 
     def __len__(self) -> int:
         return len(self.sets)
@@ -411,13 +409,9 @@ def _fresh_level_singletons(counts: Mapping[int, int], base: int, pool_size: int
     They come back as one-set intervals.  A single shared pool suffices
     because sets of different sizes never coincide.
     """
-    pool = range(base + 1, base + pool_size + 1)
-    intervals = []
-    for k in sorted(counts):
-        for combo in islice(combinations(pool, k), counts[k]):
-            mask = mask_from_elements(combo, base + pool_size)
-            intervals.append((mask, mask))
-    return intervals
+    bits = [1 << e for e in range(base, base + pool_size)]  # elements base + 1 .. base + pool_size
+    masks = chain.from_iterable(map(sum, islice(combinations(bits, k), counts[k])) for k in sorted(counts))
+    return [(mask, mask) for mask in masks]
 
 
 def realize(h: Sequence) -> RealizationResult:

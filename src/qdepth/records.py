@@ -1,16 +1,42 @@
 """Frozen value records, the one immutability mechanism of the library.
 
 A Record subclass declares its fields as class annotations, in order, each
-with an optional class-level default.  At class creation Record compiles
-an __init__ that stores the fields and then calls __post_init__, if the
-class has one (it validates and normalises through object.__setattr__),
-and _values, the tuple of field values.  Instances compare, hash, print,
-pickle and copy by their fields and refuse assignment and deletion;
-attributes that __post_init__ sets beside the fields, like support
-stats, take no part in that.
+with an optional class-level default.  On the class's first construction
+Record compiles an __init__ that writes the fields into the instance dict
+and then calls __post_init__, if the class has one (it validates and
+normalises through object.__setattr__), and _values, the tuple of field
+values.  Until then the class holds a stand-in __init__ of its own, so a
+process compiles only the classes it constructs, and an __init__ rebound
+before the first construction stays bound: the stand-in it wraps runs the
+compiled one.  Instances compare, hash, print, pickle and copy by their
+fields and refuse assignment and deletion; attributes that __post_init__
+sets beside the fields, like support stats, take no part in that.
 """
 
-from __future__ import annotations
+
+def _first_init(self, *args, **kwargs):
+    """Each record class's __init__ until its first construction: compile the class's own, then run it.
+
+    Threads racing on a class's first construction may each compile it; the results are interchangeable.
+    """
+    cls = type(self)
+    init = cls.__dict__.get("_init")
+    if init is None:
+        params = "".join(f", {n}=_defaults[{n!r}]" if n in cls._defaults else f", {n}" for n in cls._fields)
+        # class bodies mangle __names, so no field is called __d
+        stores = "".join(f"\n    __d[{n!r}] = {n}" for n in cls._fields)
+        post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+        values = "".join(f"self.{n}, " for n in cls._fields)
+        namespace = {"__name__": cls.__module__, "_defaults": cls._defaults}
+        exec(f"def __init__(self{params}):\n    __d = self.__dict__{stores}{post}\n"
+             f"def _values(self):\n    return ({values})", namespace)
+        for name in ("__init__", "_values"):
+            namespace[name].__qualname__ = f"{cls.__qualname__}.{name}"
+        init = cls._init = namespace["__init__"]
+        cls._values = namespace["_values"]
+    if cls.__dict__["__init__"] is _first_init:  # else keep what was rebound over the stand-in
+        cls.__init__ = init
+    init(self, *args, **kwargs)
 
 
 class Record:
@@ -24,15 +50,7 @@ class Record:
         own = [n for n in cls.__annotations__ if n not in cls._fields]
         cls._fields += tuple(own)
         cls._defaults = {**cls._defaults, **{n: cls.__dict__[n] for n in own if n in cls.__dict__}}
-        params = "".join(f", {n}=_defaults[{n!r}]" if n in cls._defaults else f", {n}" for n in cls._fields)
-        stores = "".join(f"\n    _set(self, {n!r}, {n})" for n in cls._fields)
-        post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else "\n    pass"
-        values = "".join(f"self.{n}, " for n in cls._fields)
-        namespace = {"__name__": cls.__module__, "_set": object.__setattr__, "_defaults": cls._defaults}
-        exec(f"def __init__(self{params}):{stores}{post}\ndef _values(self):\n    return ({values})", namespace)
-        for name in ("__init__", "_values"):
-            namespace[name].__qualname__ = f"{cls.__qualname__}.{name}"
-            setattr(cls, name, namespace[name])
+        cls.__init__ = _first_init
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

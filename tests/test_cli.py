@@ -115,6 +115,28 @@ def test_sweep_to_file(capsys, tmp_path):
     assert lines[2] == "2,3,3,3,3,True"
 
 
+def test_sweep_refuses_a_grid_over_the_budget_before_the_first_point(capsys, monkeypatch, tmp_path):
+    def refuse(*args):
+        raise AssertionError("a grid point was computed")
+
+    monkeypatch.setattr(cli, "_family_check", refuse)
+    out_path = tmp_path / "grid.csv"
+    for a_range in ("1:100000000000", "1:" + "9" * 30):
+        code, out, err = run_cli(capsys, "sweep", "--family", "geometric", "--a-range", a_range,
+                                 "--b-range", "2:2", "--out", str(out_path))
+        points = int(a_range[2:])
+        assert (code, out) == (3, "")
+        message = f"sweep grid has {points} points, over the budget of 2000000"
+        assert json.loads(err) == {"code": "domain", "message": message}
+        assert not out_path.exists()
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "ENTRY_BUDGET", 6)
+    code, out, _ = run_cli(capsys, "sweep", "--family", "geometric", "--a-range", "1:2", "--b-range", "2:4")
+    assert code == 0 and len(out.splitlines()) == 7
+    code, _, err = run_cli(capsys, "sweep", "--family", "geometric", "--a-range", "1:7", "--b-range", "2:2")
+    assert code == 3 and "sweep grid has 7 points, over the budget of 6" in err
+
+
 def test_realize_round_trip(capsys, tmp_path):
     poset_path = tmp_path / "poset.json"
     partition_path = tmp_path / "partition.json"

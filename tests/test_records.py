@@ -130,3 +130,54 @@ def test_record_post_init_normalizes_and_derived_attributes_stay_outside():
     assert copy.deepcopy(span).width == pickle.loads(pickle.dumps(span)).width == 3
     with pytest.raises(AttributeError):
         span.width = 0
+
+
+class Untouched(Record):
+    """Constructed by test_first_instance_is_a_value alone, so its first instance is made there."""
+
+    a: int
+    b: tuple = ()
+
+
+def test_first_instance_is_a_value():
+    stand_in = Untouched.__dict__["__init__"]
+    assert "_values" not in Untouched.__dict__  # nothing is compiled before the first construction
+    first = Untouched(1, (2, 3))
+    assert "_values" in Untouched.__dict__ and Untouched.__dict__["__init__"] is not stand_in
+    assert first == Untouched(1, (2, 3)) != Untouched(1)
+    assert hash(first) == hash(Untouched(1, (2, 3)))
+    for clone in (pickle.loads(pickle.dumps(first)), copy.copy(first), copy.deepcopy(first)):
+        assert type(clone) is Untouched and clone == first and hash(clone) == hash(first)
+
+
+def test_init_rebound_before_first_construction_stays_bound():
+    class Pair(Record):
+        a: int
+        b: int = 2
+
+    stand_in = Pair.__dict__["__init__"]  # a class's own, so that it can be rebound and put back
+    calls = []
+
+    def traced(self, *args, **kwargs):
+        calls.append(args)
+        stand_in(self, *args, **kwargs)
+
+    Pair.__init__ = traced
+    assert Pair(1) == Pair(1, 2)
+    assert Pair.__init__ is traced
+    assert calls == [(1,), (1, 2)]
+    Pair.__init__ = stand_in  # put back: the next construction installs the compiled __init__
+    assert Pair(3).b == 2
+    assert Pair.__dict__["__init__"] is not stand_in
+    assert Pair.__init__.__qualname__.endswith("Pair.__init__")
+
+
+def test_field_names_never_meet_the_generated_locals():
+    class Shadow(Record):
+        self_: int
+        d: int
+        __d: int  # mangled to _Shadow__d
+
+    value = Shadow(1, 2, 3)
+    assert Shadow._fields == ("self_", "d", "_Shadow__d")
+    assert (value.self_, value.d, value._Shadow__d) == (1, 2, 3)

@@ -369,21 +369,51 @@ def test_tail_rows_match_direct_sums(monkeypatch, kind):
     assert below_degree > 0 or kind == "geometric"
 
 
-def test_polynomial_table_reads_its_row_alone(monkeypatch):
-    rng = random.Random(41)
-    cases = [(random_polynomial(rng, max_degree=9).shifted(rng.randint(-4, 4)), span) for span in range(61)]
-    cases += [(random_polynomial(rng, max_degree=9).shifted(rng.randint(-4, 4)), rng.randint(0, 9)) for _ in range(30)]
+def _polynomial_tables(rng, on_row: bool) -> dict:
+    """(h, D) -> direct-sum entries of row k0 + D, for random polynomial tails on the given side of the
+    crossover: beta_table reads the row when L = min(degree, D) + 1 is at most D / 10."""
     want = {}
-    for h, span in cases:
-        k0 = h.stats().k0
-        vals = values_dict(h, k0, k0 + span)
-        want[h, span] = {k: oracle_beta(vals, k, k0 + span) for k in range(k0, k0 + span + 1)}
+    while len(want) < 60:
+        h = random_polynomial(rng, max_degree=9).shifted(rng.randint(-4, 4))
+        span = rng.randint(10 * len(h.coeffs), 10 * len(h.coeffs) + 40) if on_row else rng.randint(0, 60)
+        if (10 * (min(h.degree, span) + 1) <= span) == on_row:
+            k0 = h.stats().k0
+            vals = values_dict(h, k0, k0 + span)
+            want[h, span] = {k: oracle_beta(vals, k, k0 + span) for k in range(k0, k0 + span + 1)}
+    return want
+
+
+def _check_polynomial_tables(want: dict) -> None:
+    for (h, span), entries in want.items():
+        table = beta_table(h, h.stats().k0 + span)
+        assert table.entries == entries
+        assert table.first_negative == next((k for k, v in entries.items() if v < 0), None)
+
+
+def test_polynomial_table_reads_its_row_alone(monkeypatch):
+    want = _polynomial_tables(random.Random(41), on_row=True)
     monkeypatch.setattr(sequences, "beta_rows", refuse_recurrence)
     monkeypatch.setattr(sequences, "beta", refuse_recurrence)
-    for h, span in cases:
-        table = beta_table(h, h.stats().k0 + span)
-        assert table.entries == want[h, span]
-        assert table.first_negative == next((k for k, v in want[h, span].items() if v < 0), None)
+    _check_polynomial_tables(want)
+
+
+def test_polynomial_table_past_the_crossover_takes_the_recurrence(monkeypatch):
+    want = _polynomial_tables(random.Random(43), on_row=False)
+    monkeypatch.setattr(PolynomialSequence, "row", refuse_recurrence)
+    monkeypatch.setattr(sequences, "beta", refuse_recurrence)
+    _check_polynomial_tables(want)
+
+
+def test_high_degree_polynomial_table_takes_the_recurrence():
+    # degree 1,000 at D = 1,998: about 11.7 s by the row and 2.3 s by the recurrence (CPython 3.11, 2-vCPU host)
+    h = PolynomialSequence([1] * 1001)
+    start = time.perf_counter()
+    table = beta_table(h, 1998)
+    assert time.perf_counter() - start < 8
+    vals = {j: (j ** 1001 - 1) // (j - 1) if j > 1 else 1 + 1000 * j for j in range(1999)}  # sum of j^i, i <= 1000
+    for k in (0, 1, 2, 999, 1000, 1997, 1998):
+        assert table.entries[k] == sum((-1) ** (k - j) * math.comb(1998 - j, k - j) * vals[j] for j in range(k + 1))
+    assert table.first_negative == next((k for k, v in table.entries.items() if v < 0), None)
 
 
 def test_polynomial_row_reads_no_value_past_its_span(monkeypatch):
@@ -395,12 +425,12 @@ def test_polynomial_row_reads_no_value_past_its_span(monkeypatch):
     # h(k0 + j) = 1 + j + ... + j^19999
     vals = {k0: 1, k0 + 1: 20_000, k0 + 2: 2**20_000 - 1}
     want = [oracle_beta(vals, k, k0 + 2) for k in range(k0, k0 + 3)]
+    reads.clear()
+    assert list(beta_table(h, k0 + 2).entries.values()) == want  # past the crossover: the recurrence
+    assert len(reads) <= 3
     monkeypatch.setattr(sequences, "beta_rows", refuse_recurrence)
     reads.clear()
     assert h.row(k0 + 2) == want
-    assert len(reads) <= 3
-    reads.clear()
-    assert list(beta_table(h, k0 + 2).entries.values()) == want
     assert len(reads) <= 3
 
 

@@ -44,7 +44,57 @@ def _loaded_by(statement: str) -> set:
 def test_cli_import_leaves_out_unused_modules():
     loaded = _loaded_by("import qdepth.cli")
     assert "qdepth.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "fractions", "qdepth.posets", "qdepth.closed_forms"}
+    assert not loaded & {"dataclasses", "inspect", "fractions", "qdepth.posets", "qdepth.closed_forms", "qdepth.engine"}
+    assert "__future__" not in loaded
+
+
+def _loaded_after(argv: list) -> tuple:
+    """Exit code of cli.main(argv) in a fresh interpreter, and the qdepth modules it then holds."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from qdepth import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    status = cli.main({argv!r})\n"
+        "print(json.dumps([status, sorted(m for m in sys.modules if m.startswith('qdepth'))]))"
+    )
+    p = _fresh("-c", code)
+    assert p.returncode == 0, p.stderr
+    status, loaded = json.loads(p.stdout)
+    return status, set(loaded)
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["beta-table", "--seq", '{"kind":"polynomial","coeffs":[1,2]}', "--d", "6"], 0),
+    (["eq-bound", "--n", "2", "--alpha", "22/3"], 0),
+    (["qdepth", "--seq", '{"kind":"finite",'], 2),
+], ids=["beta-table", "eq-bound", "invalid-seq"])
+def test_commands_without_a_depth_search_leave_engine_unloaded(argv, status):
+    got, loaded = _loaded_after(argv)
+    assert got == status
+    assert "qdepth.engine" not in loaded
+
+
+def test_record_classes_compile_on_first_construction():
+    code = (
+        "import json\n"
+        "from qdepth import cli, closed_forms, engine, posets, sequences\n"
+        "from qdepth.records import Record\n"
+        "def subclasses(cls):\n"
+        "    for sub in cls.__subclasses__():\n"
+        "        yield sub\n"
+        "        yield from subclasses(sub)\n"
+        "def compiled():\n"
+        "    return sorted(c.__name__ for c in subclasses(Record) if '_values' in c.__dict__)\n"
+        "before = compiled()\n"
+        "sequences.FiniteSequence(0, [1, 3])\n"
+        "print(json.dumps([len(list(subclasses(Record))), before, compiled()]))"
+    )
+    p = _fresh("-c", code)
+    assert p.returncode == 0, p.stderr
+    classes, before, after = json.loads(p.stdout)
+    assert classes >= 13
+    assert before == []
+    assert after == ["FiniteSequence", "SequenceStats"]
 
 
 def test_package_import_loads_no_submodule():
