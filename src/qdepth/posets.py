@@ -14,12 +14,13 @@ from collections.abc import Iterable, Mapping, Sequence as SequenceABC
 from itertools import accumulate, chain, combinations, islice
 from operator import eq, itemgetter
 
-from . import engine
 from .errors import DomainError, SchemaError
 from .records import Record
 from .sequences import DEFAULT_BRUTEFORCE_CAP, ENTRY_BUDGET, FiniteSequence, Sequence, _int
 
 MAX_GROUND_SIZE = 63
+# qdepth.engine, loaded by the first depth search: verify-partition and sdepth never need it
+engine = None
 
 Interval = tuple[int, int]
 
@@ -90,8 +91,10 @@ class Poset(Record):
         return dict(sorted(counts.items()))
 
     def level_sequence(self) -> FiniteSequence:
-        counts = self.level_counts()
-        return FiniteSequence(0, [counts.get(k, 0) for k in range(max(counts) + 1)])  # trimmed to the lowest level
+        counts = [0] * (self.n + 1)
+        for mask in self.sets:
+            counts[mask.bit_count()] += 1
+        return FiniteSequence(0, counts)  # trimmed to the lowest and highest levels
 
     def sorted_masks(self) -> list[int]:
         return sorted(sorted(self.sets), key=int.bit_count)
@@ -103,8 +106,11 @@ class Poset(Record):
         return {"n": self.n, "sets": [list(elements_from_mask(m)) for m in self.sorted_masks()]}
 
 
-def poset_qdepth(poset: Poset) -> engine.QDepthResult:
+def poset_qdepth(poset: Poset) -> "engine.QDepthResult":
     """Depth of the family, computed on its level-count sequence."""
+    global engine
+    if engine is None:
+        from . import engine
     return engine.qdepth(poset.level_sequence())
 
 
@@ -225,7 +231,15 @@ def sdepth_bruteforce(poset: Poset, cap: int = DEFAULT_BRUTEFORCE_CAP) -> Sdepth
     Works on the family sorted by size: the smallest unassigned set must be
     the bottom of its interval, so the search assigns it every admissible
     top in turn, largest first.  A descending threshold on the top sizes
-    bounds the search.  Each bottom's whole intervals inside the family are
+    bounds the search.  It starts at the smaller of two bounds that come
+    from the partition structure alone, never from the family's depth.
+    Every set lies under the top of its interval, so no cover has all tops
+    above the smallest, over the sets, of their largest superset's size.
+    A set with no other member below it is the bottom of its own interval
+    in every partition, and that interval lies whole inside the family, so
+    no cover has all tops above the smallest, over such sets, of their
+    largest whole interval's top.
+    Each bottom's whole intervals inside the family are
     listed once per family, the first time that bottom comes up, and serve
     every threshold; only the masks of unassigned sets proven impossible to
     cover are remembered, since a found cover ends the search.  A state is
@@ -262,9 +276,6 @@ def sdepth_bruteforce(poset: Poset, cap: int = DEFAULT_BRUTEFORCE_CAP) -> Sdepth
         sup.append(above)
         sub.append(full ^ below)
 
-    # masks are sorted by size, so a set's highest superset index is its largest superset
-    t_hi = min(sizes[x.bit_length() - 1] for x in sup)
-    t_lo = sizes[0]
     # per bottom i: (top size, top j, members) of every whole interval [i, j], largest top first
     whole: list[list | None] = [None] * s
 
@@ -272,13 +283,23 @@ def sdepth_bruteforce(poset: Poset, cap: int = DEFAULT_BRUTEFORCE_CAP) -> Sdepth
         tops = []
         rest = sup[i]
         while rest:
-            j = rest.bit_length() - 1
-            rest ^= 1 << j
+            low = rest & -rest
+            rest ^= low
+            j = low.bit_length() - 1
             members = sup[i] & sub[j]
             if members.bit_count() == 1 << (sizes[j] - sizes[i]):
                 tops.append((sizes[j], j, members))
-        tops.sort(key=lambda top: (-top[0], top[1]))
+        tops.sort(key=itemgetter(0), reverse=True)  # stable: equal sizes keep j ascending
         return tops
+
+    # masks are sorted by size, so a set's highest superset index is its largest superset
+    t_hi = min(sizes[x.bit_length() - 1] for x in sup)
+    t_lo = sizes[0]
+    # a set with no other member below it is the bottom of its own interval in every partition
+    for i in range(s):
+        if sub[i] == 1 << i:
+            whole[i] = tops_of(i)
+            t_hi = min(t_hi, whole[i][0][0])
 
     def coverable(rest: int, check: int, t: int, options: list) -> bool:
         # a cover of rest puts each set x in check, all below t, in some [C, D'] with |D'| >= t,
@@ -429,6 +450,9 @@ def realize(h: Sequence) -> RealizationResult:
     and the partition depth are checked.  Level counts equal to the shifted
     window give the family depth d without a second depth search.
     """
+    global engine
+    if engine is None:
+        from . import engine
     m = h.stats().k0 - 1
     g = h.shifted(m)
     result = engine.qdepth(g)

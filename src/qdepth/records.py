@@ -4,7 +4,7 @@ A Record subclass declares its fields as class annotations, in order, each
 with an optional class-level default.  On the class's first construction
 Record compiles an __init__ that writes the fields into the instance dict
 and then calls __post_init__, if the class has one (it validates and
-normalises through object.__setattr__), and _values, the tuple of field
+normalises in the instance dict), and _values, the tuple of field
 values.  Until then the class holds a stand-in __init__ of its own, so a
 process compiles only the classes it constructs, and an __init__ rebound
 before the first construction stays bound: the stand-in it wraps runs the

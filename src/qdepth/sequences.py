@@ -14,7 +14,7 @@ All arithmetic is on Python ints, so nothing overflows.
 import math
 import sys
 from collections.abc import Iterator
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from operator import mul
 
 from .errors import DomainError, SchemaError
@@ -128,17 +128,18 @@ class FiniteSequence(Sequence):
     def __post_init__(self):
         _int(self.offset, "offset")
         vals = [_int(v, "values", 0) for v in self.values]
-        if not any(vals):
+        lo, hi = 0, len(vals)
+        while lo < hi and not vals[lo]:
+            lo += 1
+        if lo == hi:
             raise DomainError("sequence must not be identically zero")
-        lo = next(i for i, v in enumerate(vals) if v)
-        hi = next(i for i in range(len(vals) - 1, -1, -1) if vals[i])
-        vals = tuple(vals[lo : hi + 1])
+        while not vals[hi - 1]:
+            hi -= 1
+        vals = tuple(vals[lo:hi])
         k0 = self.offset + lo
         kf = k0 + (vals.index(0) if 0 in vals else len(vals)) - 1
         h1 = vals[1] if len(vals) > 1 else 0
-        object.__setattr__(self, "offset", k0)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "_stats", SequenceStats(k0, kf, vals[0], h1, h1 // vals[0]))
+        self.__dict__.update(offset=k0, values=vals, _stats=SequenceStats(k0, kf, vals[0], h1, h1 // vals[0]))
 
     @property
     def support_end(self) -> int:
@@ -147,6 +148,11 @@ class FiniteSequence(Sequence):
     def window(self, hi: int) -> "FiniteSequence":
         # the slice stops at the support end: the zeros past it would only be trimmed away again
         return FiniteSequence(self.offset, self.values[: _index(self, hi, "window end {}") - self.offset + 1])
+
+    def iter_values(self, hi: int) -> Iterator[int]:
+        # the stored values, then zeros past the support end
+        n = _index(self, hi, "values end {}") - self.offset + 1
+        return chain(self.values[:n], repeat(0, n - len(self.values)))
 
     def value_at(self, j: int) -> int:
         i = j - self.offset
@@ -355,15 +361,20 @@ def beta_rows(h: Sequence, up_to: int) -> Iterator[tuple[int, dict]]:
     row[d+1][k0] = h(k0) and row[d+1][d+1] = h(d+1) - row[d][d].  At the
     first next(), before any row is built, DomainError refuses an up_to
     below k0 and a scan whose rows hold more than ENTRY_BUDGET entries.
+    The values come from one lazy h.iter_values(up_to), so a geometric
+    tail pays one multiplication per row and a scan stopped after row d
+    has read no value past h(d).
     """
-    k0, h0 = _rows_budget(h, up_to), h.stats().h0
+    k0 = _rows_budget(h, up_to)
+    values = h.iter_values(up_to)
+    h0 = next(values)
     row = {k0: h0}
     yield k0, row
-    for d in range(k0 + 1, up_to + 1):
+    for d, v in zip(range(k0 + 1, up_to + 1), values):
         nxt = {k0: h0}
         for k in range(k0 + 1, d):
             nxt[k] = row[k] - row[k - 1]
-        nxt[d] = h.value_at(d) - row[d - 1]
+        nxt[d] = v - row[d - 1]
         row = nxt
         yield d, row
 

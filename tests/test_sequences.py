@@ -96,6 +96,41 @@ def test_finite_trimming_is_canonical():
     assert h == FiniteSequence(5, [4, 1])
 
 
+def _trimmed(offset: int, vals: list) -> tuple:
+    """(offset, values, (k0, kf, h0, h1, c)) of a finite sequence, from the definitions."""
+    nonzero = [i for i, v in enumerate(vals) if v]
+    values = tuple(vals[nonzero[0] : nonzero[-1] + 1])
+    k0 = offset + nonzero[0]
+    run = 1
+    while run < len(values) and values[run]:
+        run += 1
+    h1 = values[1] if len(values) > 1 else 0
+    return k0, values, (k0, k0 + run - 1, values[0], h1, h1 // values[0])
+
+
+def test_finite_sequence_normalizes_against_its_definition():
+    rng = random.Random(211)
+    singles = 0
+    for _ in range(2000):
+        body = [rng.randint(1, 9)]
+        for _ in range(rng.choice((0, 0, 1, 3, 6))):
+            body.append(rng.choice((0, 0, rng.randint(1, 9))))
+        if not body[-1]:
+            body.append(rng.randint(1, 9))
+        singles += len(body) == 1
+        vals = [0] * rng.randint(0, 3) + body + [0] * rng.randint(0, 3)
+        offset = rng.randint(-5, 5)
+        h = FiniteSequence(offset, vals)
+        k0, values, stats = _trimmed(offset, vals)
+        assert (h.offset, h.values) == (k0, values), (offset, vals)
+        st = h.stats()
+        assert (st.k0, st.kf, st.h0, st.h1, st.c) == stats, (offset, vals)
+    assert singles > 100
+    for vals in ([], [0], [0, 0, 0]):
+        with pytest.raises(DomainError, match="^sequence must not be identically zero$"):
+            FiniteSequence(0, vals)
+
+
 def test_finite_offset_must_be_an_int_not_a_float():
     with pytest.raises(DomainError, match="offset must be an integer, got 1.5"):
         FiniteSequence(1.5, [1, 2])
@@ -444,12 +479,27 @@ def test_beta_table_refuses_over_budget_before_any_work_for_every_kind(monkeypat
     monkeypatch.setattr(sequences, "ENTRY_BUDGET", 21)
     k0 = h.stats().k0
     assert beta_table(h, k0 + 5).d == k0 + 5
-    for owner in (sequences, type(h), PolynomialSequence, GeometricSequence):
-        for name in {"beta_rows", "beta", "value_at", "row"} & set(vars(owner)):
+    for owner in (sequences, sequences.Sequence, type(h), PolynomialSequence, GeometricSequence):
+        for name in {"beta_rows", "beta", "value_at", "iter_values", "row"} & set(vars(owner)):
             monkeypatch.setattr(owner, name, refuse)
     message = f"transform rows up to d={k0 + 6} need 28 transform entries, over the budget of 21"
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         beta_table(h, k0 + 6)
+
+
+@pytest.mark.parametrize(
+    "h", [WORKED, PolynomialSequence([1, 4], 3), GeometricSequence(2, 9, -1)], ids=["finite", "polynomial", "geometric"]
+)
+def test_beta_rows_reads_no_value_past_the_row_where_it_stops(monkeypatch, h):
+    read = []
+    real = type(h).iter_values
+    monkeypatch.setattr(type(h), "iter_values", lambda self, hi: (read.append(v) or v for v in real(self, hi)))
+    k0 = h.stats().k0
+    rows = beta_rows(h, k0 + 8)
+    assert read == []
+    got = [next(rows)[1] for _ in range(3)]
+    assert read == [h.value_at(j) for j in range(k0, k0 + 3)]
+    assert got[-1] == beta_table(h, k0 + 2).entries
 
 
 def test_iter_values_reads_the_values_in_order():

@@ -67,7 +67,9 @@ def _loaded_after(argv: list) -> tuple:
     (["beta-table", "--seq", '{"kind":"polynomial","coeffs":[1,2]}', "--d", "6"], 0),
     (["eq-bound", "--n", "2", "--alpha", "22/3"], 0),
     (["qdepth", "--seq", '{"kind":"finite",'], 2),
-], ids=["beta-table", "eq-bound", "invalid-seq"])
+    (["sdepth", "--poset", '{"n":2,"sets":[[1],[2],[1,2]]}'], 0),
+    (["verify-partition", "--poset", '{"n":2,"sets":[[1],[1,2]]}', "--partition", '{"intervals":[{"C":[1],"D":[1,2]}]}'], 0),
+], ids=["beta-table", "eq-bound", "invalid-seq", "sdepth", "verify-partition"])
 def test_commands_without_a_depth_search_leave_engine_unloaded(argv, status):
     got, loaded = _loaded_after(argv)
     assert got == status
