@@ -88,24 +88,20 @@ def cmd_beta_table(args, out) -> None:
     _emit(beta_table(_load_sequence(args), args.d).to_json_dict(), args, out)
 
 
-# family name -> (closed-form prediction, sequence, alpha), each a function of (cf, a, b)
-# where cf is the closed_forms module
-_FAMILIES = {
-    "geometric": (lambda cf, a, b: cf.PiecewisePrediction(cf.geometric_qdepth(a, b), "ratio", True),
-                  lambda cf, a, b: GeometricSequence(a, b), lambda cf, a, b: b),
-    "arithmetic": (lambda cf, a, b: cf.arithmetic_qdepth(a, b),
-                   lambda cf, a, b: cf.monomial_plus_constant(a, b, 1), lambda cf, a, b: cf.as_fraction(a) / b),
-    "quadratic": (lambda cf, a, b: cf.quadratic_qdepth(a, b),
-                  lambda cf, a, b: cf.monomial_plus_constant(a, b, 2), lambda cf, a, b: cf.as_fraction(a) / b),
-}
+# family name -> degree n of its tail a*j^n + b; None for the geometric tail a*b^j, whose depth is the ratio b
+_FAMILIES = {"geometric": None, "arithmetic": 1, "quadratic": 2}
 
 
 def _family_check(family: str, a: int, b: int) -> dict:
     """The closed-form prediction for one family member against the engine's depth."""
-    from . import closed_forms, engine
-    predict, sequence, _ = _FAMILIES[family]
-    prediction = predict(closed_forms, a, b)
-    computed = engine.qdepth_value(sequence(closed_forms, a, b))
+    from . import closed_forms as cf, engine
+    degree = _FAMILIES[family]
+    if degree is None:
+        prediction, h = cf.PiecewisePrediction(cf.geometric_qdepth(a, b), "ratio", True), GeometricSequence(a, b)
+    else:
+        predict = cf.arithmetic_qdepth if degree == 1 else cf.quadratic_qdepth
+        prediction, h = predict(a, b), cf.monomial_plus_constant(a, b, degree)
+    computed = engine.qdepth_value(h)
     return {
         "family": family, "a": a, "b": b, "predicted": prediction.value, "computed": computed,
         "agree": prediction.value == computed, "branch": prediction.branch, "exact": prediction.is_exact,
@@ -118,11 +114,7 @@ def cmd_closed_form(args, out) -> None:
 
 def cmd_eq_bound(args, out) -> None:
     from . import closed_forms
-    try:
-        alpha = closed_forms.as_fraction(args.alpha)
-    except DomainError:
-        raise SchemaError(f"alpha: not a rational: {args.alpha!r}") from None
-    _emit(closed_forms.eq_bound(args.n, alpha).to_json_dict(), args, out)
+    _emit(closed_forms.eq_bound(args.n, closed_forms.as_fraction(args.alpha, "alpha")).to_json_dict(), args, out)
 
 
 def cmd_realize(args, out) -> None:
@@ -171,12 +163,12 @@ def cmd_sweep(args, out) -> None:
     points = (a_range.stop - a_range.start) * (b_range.stop - b_range.start)  # len() overflows past sys.maxsize
     if points > ENTRY_BUDGET:
         raise DomainError(f"sweep grid has {points} points, over the budget of {ENTRY_BUDGET}")
-    alpha = _FAMILIES[args.family][2]
     rows = []
     for a in a_range:
         for b in b_range:
             c = _family_check(args.family, a, b)
-            rows.append([a, b, str(alpha(closed_forms, a, b)), c["predicted"], c["computed"], c["agree"]])
+            alpha = b if _FAMILIES[args.family] is None else closed_forms.as_fraction(a) / b
+            rows.append([a, b, str(alpha), c["predicted"], c["computed"], c["agree"]])
     with _open_out(args.out) if args.out else contextlib.nullcontext(out) as sink:
         writer = csv.writer(sink, lineterminator="\n")
         writer.writerow(["a", "b", "alpha", "predicted", "computed", "agree"])

@@ -12,7 +12,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, SchemaError
 from .records import Record
 from .sequences import PolynomialSequence, _int
 
@@ -32,13 +32,29 @@ class PiecewisePrediction(Record):
         return {"bound": self.value, "branch": self.branch, "exact": self.is_exact}
 
 
-def as_fraction(x) -> Fraction:
-    """Coerce an int, Fraction or string like '22/3' to an exact Fraction."""
+def _digit_limit() -> int:
+    """CPython's integer string conversion limit, or its default of 4300 digits when that limit is off."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
+def as_fraction(x, where: str | None = None) -> Fraction:
+    """Coerce an int, Fraction or string like '22/3' or '1.5e-3' to an exact Fraction.
+
+    A string whose exponent e gives 10^|e| more digits than the digit limit raises DomainError before that
+    power is built.  Any other non-rational raises DomainError, or SchemaError prefixed by where when given.
+    """
     if isinstance(x, (Fraction, int, str)) and not isinstance(x, bool):
         try:
-            return Fraction(x)
+            e = int(x.lower().partition("e")[2] or 0) if isinstance(x, str) else 0
+            if abs(e) < _digit_limit():
+                return Fraction(x)
         except (ValueError, ZeroDivisionError):
             pass
+        else:
+            raise DomainError(f"exponent {e} is too large: 10^{abs(e)} has more than {_digit_limit()} digits, "
+                              "the string conversion limit")
+    if where is not None:
+        raise SchemaError(f"{where}: not a rational: {x!r}")
     raise DomainError(f"not an exact rational: {x!r}")
 
 
@@ -51,7 +67,7 @@ def _exponent(n: int, what: str, squared: bool = False) -> None:
     this refusal bounds the work before either is built.
     """
     bits = (_int(n, what, 1) + 1) * (2 if squared else 1)
-    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    limit = _digit_limit()
     # 2^bits - 1 >= 10^limit; log2(10) > 3, so the exact test runs only near the limit
     if bits > 3 * limit and bits >= (10**limit).bit_length():
         power = f"2^(2{what}+2)" if squared else f"2^({what}+1)"
@@ -104,26 +120,24 @@ def lambda_threshold(n: int, m: int) -> Fraction:
     return Fraction(num, 2 * m - 2)
 
 
+def _branch_quadratic(n: int, alpha: Fraction) -> tuple[int, int, int, int]:
+    """(q, K, b, b^2 - 4 K q^2) of q x^2 - b x + K q: alpha = p/q, K = 4^n - 2^n + 2, b = 2p - (2^(n+1) - 1) q."""
+    q, big_k = alpha.denominator, 4**n - 2**n + 2
+    b = 2 * alpha.numerator - (2 ** (n + 1) - 1) * q
+    return q, big_k, b, b * b - 4 * big_k * q * q
+
+
 def compare_alpha1(alpha, n: int) -> int:
-    """Compare alpha against 2^n + sqrt(4^n - 2^n + 2) - 1/2, exactly.
+    """Compare alpha against 2^n + sqrt(K) - 1/2, K = 4^n - 2^n + 2, exactly.
 
     Returns -1, 0 or 1.  Below this boundary the quadratic transform value
-    at index 2 stays non-negative for every admissible d.  The comparison
-    squares alpha + 1/2 - 2^n against 4^n - 2^n + 2 after a sign check, so
-    no floating point is involved.
+    at index 2 stays non-negative for every admissible d.  With eq_bound's
+    b = 2q (alpha + 1/2 - 2^n), the answer is -1 when b <= 0 and else the
+    sign of the integer b^2 - 4 K q^2, so no floating point is involved.
     """
     _exponent(n, "n")
-    alpha = as_fraction(alpha)
-    t = alpha + Fraction(1, 2) - 2**n
-    if t <= 0:
-        return -1
-    radicand = 4**n - 2**n + 2
-    tt = t * t
-    if tt < radicand:
-        return -1
-    if tt == radicand:
-        return 0
-    return 1
+    _, _, b, disc = _branch_quadratic(n, as_fraction(alpha))
+    return -1 if b <= 0 else (disc > 0) - (disc < 0)
 
 
 def eq_bound(n: int, alpha) -> PiecewisePrediction:
@@ -149,9 +163,8 @@ def eq_bound(n: int, alpha) -> PiecewisePrediction:
     # with x = m - 1 and K = 4^n - 2^n + 2, lambda_threshold(n, m) = (x + K/x + top) / 2 falls as
     # x grows on [1, 2^n - 1], where x^2 < K, so alpha = p/q lies at or below it while x is at most
     # the smaller root of q x^2 - b x + K q, b = 2p - top q; isqrt rounds down, so the quotient may be one over
-    q, big_k, x_max = alpha.denominator, 4**n - 2**n + 2, 2**n - 1
-    b = 2 * alpha.numerator - top * q
-    disc = b * b - 4 * big_k * q * q
+    q, big_k, b, disc = _branch_quadratic(n, alpha)
+    x_max = 2**n - 1
     x = x_max if disc < 0 else min((b - math.isqrt(disc)) // (2 * q), x_max)
     if x > 0 and q * x * x - b * x + big_k * q < 0:
         x -= 1
@@ -159,8 +172,7 @@ def eq_bound(n: int, alpha) -> PiecewisePrediction:
         low = f"[{top}" if x == x_max else f"({lambda_threshold(n, x + 2)}"
         high = "inf)" if x == 0 else f"{lambda_threshold(n, x + 1)}]"
     except DomainError:  # lambda_threshold refuses a threshold that might not print
-        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-        message = f"a threshold in the branch label has more than {limit} digits, the string conversion limit"
+        message = f"a threshold in the branch label has more than {_digit_limit()} digits, the string conversion limit"
         raise DomainError(message) from None
     return PiecewisePrediction(2**n + x + 1, f"alpha in {low},{high}", exact)
 

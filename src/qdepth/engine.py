@@ -21,7 +21,7 @@ from itertools import pairwise
 from .errors import DomainError
 from .records import Record
 from .sequences import ENTRY_SPAN, BetaTable, GeometricSequence, Sequence, beta_rows, beta_table, binomial
-from .sequences import _first_negative, _index
+from .sequences import _first_negative, _index, _row_length
 from .sequences import beta  # unused here, but the benchmark's tracer rebinds engine.beta
 
 
@@ -120,17 +120,20 @@ def qdepth_at_least(h: Sequence, d: int) -> DepthCheck:
 def necessary_condition_holds(h: Sequence, d: int) -> bool:
     """Binomial lower bound on the values, implied by depth >= d.
 
-    Requires h(k) >= binomial(d - k0, k - k0) * h(k0) on [k0, d].
+    Requires h(k) >= binomial(d - k0, k - k0) * h(k0) on [k0, d].  Both
+    side tests refuse a d below k0 or more than ENTRY_SPAN above it with
+    DomainError before reading any value.
     """
     st = h.stats()
-    _index(h, d, "candidate depth {}")
+    _row_length(h, d, "candidate depth {}")
     return all(v >= binomial(d - st.k0, i) * st.h0 for i, v in enumerate(h.iter_values(d)))
 
 
 def sufficient_condition_holds(h: Sequence, d: int) -> bool:
     """Stepwise growth test that forces depth >= d.
 
-    Requires h(k) >= (d - k + 1) * h(k - 1) for every k in [k0 + 1, d].
+    Requires h(k) >= (d - k + 1) * h(k - 1) for every k in [k0 + 1, d];
+    d is refused as in necessary_condition_holds.
     """
-    pairs = pairwise(h.iter_values(_index(h, d, "candidate depth {}")))
-    return all(v >= (d - k + 1) * u for k, (u, v) in enumerate(pairs, h.stats().k0 + 1))
+    _row_length(h, d, "candidate depth {}")
+    return all(v >= (d - k + 1) * u for k, (u, v) in enumerate(pairwise(h.iter_values(d)), h.stats().k0 + 1))

@@ -84,11 +84,8 @@ class Poset(Record):
         return cls(n, frozenset(mask_from_elements(f, _ground_size(n)) for f in families))
 
     def level_counts(self) -> dict:
-        counts: dict[int, int] = {}
-        for mask in self.sets:
-            k = mask.bit_count()
-            counts[k] = counts.get(k, 0) + 1
-        return dict(sorted(counts.items()))
+        h = self.level_sequence()
+        return {k: v for k, v in enumerate(h.values, h.offset) if v}
 
     def level_sequence(self) -> FiniteSequence:
         counts = [0] * (self.n + 1)
@@ -231,15 +228,12 @@ def sdepth_bruteforce(poset: Poset, cap: int = DEFAULT_BRUTEFORCE_CAP) -> Sdepth
     Works on the family sorted by size: the smallest unassigned set must be
     the bottom of its interval, so the search assigns it every admissible
     top in turn, largest first.  A descending threshold on the top sizes
-    bounds the search.  It starts at the smaller of two bounds that come
-    from the partition structure alone, never from the family's depth.
-    Every set lies under the top of its interval, so no cover has all tops
-    above the smallest, over the sets, of their largest superset's size.
-    A set with no other member below it is the bottom of its own interval
-    in every partition, and that interval lies whole inside the family, so
-    no cover has all tops above the smallest, over such sets, of their
-    largest whole interval's top.
-    Each bottom's whole intervals inside the family are
+    bounds the search.  It starts at a bound that comes from the partition
+    structure alone, never from the family's depth: a set with no other
+    member below it is the bottom of its own interval in every partition,
+    and that interval lies whole inside the family, so no cover has all
+    tops above the smallest, over such sets, of their largest whole
+    interval's top.  Each bottom's whole intervals inside the family are
     listed once per family, the first time that bottom comes up, and serve
     every threshold; only the masks of unassigned sets proven impossible to
     cover are remembered, since a found cover ends the search.  A state is
@@ -292,9 +286,7 @@ def sdepth_bruteforce(poset: Poset, cap: int = DEFAULT_BRUTEFORCE_CAP) -> Sdepth
         tops.sort(key=itemgetter(0), reverse=True)  # stable: equal sizes keep j ascending
         return tops
 
-    # masks are sorted by size, so a set's highest superset index is its largest superset
-    t_hi = min(sizes[x.bit_length() - 1] for x in sup)
-    t_lo = sizes[0]
+    t_hi, t_lo = sizes[-1], sizes[0]
     # a set with no other member below it is the bottom of its own interval in every partition
     for i in range(s):
         if sub[i] == 1 << i:
@@ -459,12 +451,9 @@ def realize(h: Sequence) -> RealizationResult:
     d = result.qdepth
     b = tuple(result.accepted_table.entries[j] for j in range(1, d + 1))
 
-    window_counts = {j: g.value_at(j) for j in range(1, d + 1)}
-    if isinstance(g, FiniteSequence):
-        upper_counts = {j: g.value_at(j) for j in range(d + 1, g.support_end + 1)}
-        window_counts.update(upper_counts)
-    else:
-        upper_counts = {}
+    # the window 1..d, and a finite sequence's levels past it up to its support end (depth <= kf)
+    counts = dict(enumerate(g.iter_values(d if g.support_end is None else g.support_end), 1))
+    upper_counts = {j: v for j, v in counts.items() if j > d}
     used = d * sum(b)
     pool_size = _pool_size(upper_counts, MAX_GROUND_SIZE - used)
     ground_size = used + pool_size
@@ -484,7 +473,7 @@ def realize(h: Sequence) -> RealizationResult:
 
     if not report.ok:
         raise AssertionError(f"realization failed validation: {report.reason}")
-    if poset.level_counts() != {k: v for k, v in window_counts.items() if v}:
+    if poset.level_counts() != {k: v for k, v in counts.items() if v}:
         raise AssertionError("realization does not reproduce the level counts")
     if report.sdepth != d:
         raise AssertionError("realization partition depth differs from the sequence depth")

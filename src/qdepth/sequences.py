@@ -59,8 +59,11 @@ class Sequence(Record):
     Subclasses are records that validate in __post_init__ and compute their
     support stats there once, outside the fields.  A subclass's kind name
     (a class attribute) and its fields are its JSON schema: to_json_dict
-    writes them and sequence_from_json_dict reads them back.
+    writes them and sequence_from_json_dict reads them back.  support_end
+    is the last index with a positive value, or None for a tail.
     """
+
+    support_end = None
 
     def value_at(self, j: int) -> int:
         raise NotImplementedError
@@ -81,8 +84,8 @@ class Sequence(Record):
         return map(self.value_at, range(self.stats().k0, _index(self, hi, "values end {}") + 1))
 
     def window(self, hi: int) -> "FiniteSequence":
-        """Materialize the values on [k0, hi] as a finite sequence."""
-        _index(self, hi, "window end {}")
+        """Materialize the values on [k0, hi] as a finite sequence; none past the support end is read."""
+        hi = min(_index(self, hi, "window end {}"), hi if self.support_end is None else self.support_end)
         return FiniteSequence(self.stats().k0, list(self.iter_values(hi)))
 
     def to_json_dict(self) -> dict:
@@ -144,10 +147,6 @@ class FiniteSequence(Sequence):
     @property
     def support_end(self) -> int:
         return self.offset + len(self.values) - 1
-
-    def window(self, hi: int) -> "FiniteSequence":
-        # the slice stops at the support end: the zeros past it would only be trimmed away again
-        return FiniteSequence(self.offset, self.values[: _index(self, hi, "window end {}") - self.offset + 1])
 
     def iter_values(self, hi: int) -> Iterator[int]:
         # the stored values, then zeros past the support end
@@ -260,11 +259,11 @@ class GeometricSequence(Sequence):
         return GeometricSequence(c * self.scale, self.ratio, self.shift)
 
 
-def _row_length(h: Sequence, d: int) -> int:
+def _row_length(h: Sequence, d: int, what: str = "row at d={}") -> int:
     """D + 1 = d - k0 + 1, the length of row d, after refusing a d below k0 or past k0 + ENTRY_SPAN."""
     k0 = h.stats().k0
-    if _index(h, d, "row at d={}") - k0 > ENTRY_SPAN:
-        raise DomainError(f"row at d={d} lies more than {ENTRY_SPAN} above the support start {k0}")
+    if _index(h, d, what) - k0 > ENTRY_SPAN:
+        raise DomainError(f"{what.format(d)} lies more than {ENTRY_SPAN} above the support start {k0}")
     return d - k0 + 1
 
 
@@ -287,12 +286,12 @@ def _tail_row(c: list[int], n: int, rate: int) -> list[int]:
 
 def add(g: Sequence, h: Sequence) -> FiniteSequence:
     """Pointwise sum of two finitely supported sequences."""
-    if not isinstance(g, FiniteSequence) or not isinstance(h, FiniteSequence):
+    if g.support_end is None or h.support_end is None:
         raise DomainError(
             "pointwise sum is defined for finitely supported sequences; "
             "use window() to materialize a tail first"
         )
-    lo = min(g.offset, h.offset)
+    lo = min(g.stats().k0, h.stats().k0)
     hi = max(g.support_end, h.support_end)
     return FiniteSequence(lo, [g.value_at(j) + h.value_at(j) for j in range(lo, hi + 1)])
 
@@ -336,7 +335,7 @@ def beta(h: Sequence, k: int, d: int) -> int:
     bits, limit = min(d - k0, min(k - k0, d - k) * (d - k0).bit_length()), ENTRY_SPAN * ENTRY_SPAN.bit_length()
     if bits > limit:
         raise DomainError(f"transform at k={k}, d={d} may need {bits}-bit binomials, over the limit of {limit}")
-    end = min(k, h.support_end) if isinstance(h, FiniteSequence) else k
+    end = k if h.support_end is None else min(k, h.support_end)
     if end - k0 + 1 > ENTRY_BUDGET:
         raise DomainError(f"transform at k={k}, d={d} sums {end - k0 + 1} terms, over the budget of {ENTRY_BUDGET}")
     return sum((-1) ** (k - j) * binomial(d - j, k - j) * h.value_at(j) for j in range(k0, end + 1))

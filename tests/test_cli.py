@@ -305,6 +305,15 @@ def test_eq_bound_past_the_digit_limit_exits_3_at_once(capsys):
     assert json.loads(err)["code"] == "domain"
 
 
+@pytest.mark.parametrize("alpha", ["1e10000000", "1e-10000000"])
+def test_eq_bound_with_an_exponent_past_the_digit_limit_exits_3_at_once(capsys, alpha):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "eq-bound", "--n", "2", "--alpha", alpha)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert json.loads(err)["code"] == "domain"
+
+
 def test_closed_form_far_below_the_bound(capsys):
     code, out, _ = run_cli(capsys, "closed-form", "--family", "arithmetic", "--a", "1000000", "--b", "1")
     assert code == 0

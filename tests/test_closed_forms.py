@@ -2,6 +2,7 @@
 
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from helpers import oracle_eq_bound, paper_closed_form, random_polynomial
 from qdepth import (
     DomainError,
     GeometricSequence,
+    SchemaError,
     arithmetic_qdepth,
     as_fraction,
     closed_forms,
@@ -151,6 +153,30 @@ def test_eq_bound_refuses_an_unprintable_power_before_building_it():
         assert eq_bound(edge + 1, 3).value == 4
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_as_fraction_refuses_a_decimal_exponent_past_the_digit_limit_before_building_it():
+    limit = sys.get_int_max_str_digits()
+    try:
+        for setting in (4300, 0):  # with the limit off, its default of 4,300 digits applies
+            sys.set_int_max_str_digits(setting)
+            for text in ("1e10000000", "1e-10000000", "2.5E+4300", "1e-4_300"):
+                start = time.perf_counter()
+                with pytest.raises(DomainError, match="has more than 4300 digits, the string conversion limit"):
+                    as_fraction(text)
+                for alpha in (lambda: eq_bound(2, text), lambda: compare_alpha1(text, 2)):
+                    with pytest.raises(DomainError, match="exponent"):
+                        alpha()
+                assert time.perf_counter() - start < 0.1
+            assert as_fraction("1e4299") == 10**4299
+            assert as_fraction("3e-4299") == Fraction(3, 10**4299)
+            assert as_fraction(" 15E-1 ") == Fraction(3, 2)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    with pytest.raises(DomainError, match="^not an exact rational: 'seven'$"):
+        as_fraction("seven")
+    with pytest.raises(SchemaError, match="^alpha: not a rational: 'seven'$"):
+        as_fraction("seven", "alpha")
 
 
 def test_closed_forms_refuse_a_huge_exponent_before_building_it():

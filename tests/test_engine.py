@@ -180,6 +180,19 @@ def test_sufficient_condition_examples():
         sufficient_condition_holds(WORKED, -3)
 
 
+def test_side_conditions_refuse_a_candidate_past_the_entry_span_before_reading_a_value():
+    h = GeometricSequence(1, 10**6).shifted(-3)  # k0 = 3
+    k0 = h.stats().k0
+    for test in (necessary_condition_holds, sufficient_condition_holds):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="^candidate depth 2002 lies more than 1998 above the support start 3$"):
+            test(h, k0 + 1999)
+        assert time.perf_counter() - start < 0.1
+    # at the edge both answer: the values grow by 10^6 per index, far past any binomial or factor below 2,000
+    assert necessary_condition_holds(h, k0 + 1998)
+    assert sufficient_condition_holds(h, k0 + 1998)
+
+
 def test_side_conditions_read_the_values_in_one_pass(monkeypatch):
     rng = random.Random(75)
     cases = [(random_sequence(rng).shifted(rng.randint(-4, 4)), rng.randint(0, 8)) for _ in range(80)]

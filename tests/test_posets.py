@@ -516,44 +516,34 @@ def test_sdepth_bruteforce_matches_memo_oracle():
         assert (result.sdepth, result.partition.intervals) == oracle_sdepth_search(sets), sets
 
 
-def _threshold_bounds(family) -> tuple:
-    """(superset bound, forced-bottom bound) of a family over [4], from their definitions.
+def _forced_bottom_bound(family) -> int:
+    """The forced-bottom bound of a family over [4], from its definition.
 
-    The superset bound is the least, over all members, of their largest
-    superset's size.  The forced-bottom bound is the least, over the members
-    with no other member below them, of the largest top D of an interval
-    [C, D] whose every set lies in the family.
+    The least, over the members with no other member below them, of the
+    largest top D of an interval [C, D] whose every set lies in the family.
     """
     def whole(c, d):
         free = d & ~c
         return all(c | m in family for m in range(free + 1) if m & ~free == 0)
 
-    supersets = {c: [d for d in family if c & ~d == 0] for c in family}
-    largest = min(max(d.bit_count() for d in ds) for ds in supersets.values())
     minimal = [c for c in family if not any(b != c and b & ~c == 0 for b in family)]
-    forced = min(max(d.bit_count() for d in supersets[c] if whole(c, d)) for c in minimal)
-    return largest, forced
+    return min(max(d.bit_count() for d in family if c & ~d == 0 and whole(c, d)) for c in minimal)
 
 
-def test_sdepth_bruteforce_below_the_superset_bound_matches_memo_oracle():
-    # every family over [4] whose forced-bottom bound lies strictly below its superset bound,
-    # so the search starts lower than the superset bound alone would let it
-    below = 0
+def test_sdepth_bruteforce_matches_memo_oracle_on_every_family_over_four():
     for f in range(1, 1 << 16):
         sets = [m for m in range(16) if f >> m & 1]
-        largest, forced = _threshold_bounds(frozenset(sets))
-        if forced < largest:
-            below += 1
-            result = sdepth_bruteforce(Poset(4, frozenset(sets)))
-            assert (result.sdepth, result.partition.intervals) == oracle_sdepth_search(sets), sets
-    assert below == 51501
+        result = sdepth_bruteforce(Poset(4, frozenset(sets)))
+        assert (result.sdepth, result.partition.intervals) == oracle_sdepth_search(sets), sets
 
 
+# the ids give where the least, over the sets, of their largest superset's size would start the search
 @pytest.mark.parametrize("family, tried", [
     ([[], [1, 2, 3, 4]], [0]),
     ([[1], [2], [1, 2], [1, 2, 3, 4]], [2, 1]),
     ([[], [1], [2], [1, 2], [3], [1, 3], [2, 3], [1, 2, 3], [4], [1, 2, 3, 4]], [3, 2, 1]),
-], ids=["superset-bound-4", "superset-bound-4-sdepth-1", "superset-bound-4-sdepth-1-of-10"])
+    ([[], [1], [2], [1, 2], [3]], [2, 1]),
+], ids=["superset-bound-4", "superset-bound-4-sdepth-1", "superset-bound-4-sdepth-1-of-10", "superset-bound-1"])
 def test_sdepth_bruteforce_first_threshold_is_the_forced_bottom_bound(monkeypatch, family, tried):
     # cover bisects the sizes once per threshold, so the calls list the thresholds tried
     thresholds = []
@@ -561,8 +551,7 @@ def test_sdepth_bruteforce_first_threshold_is_the_forced_bottom_bound(monkeypatc
     monkeypatch.setattr(posets, "bisect_left", lambda a, t: thresholds.append(t) or real(a, t))
     poset = Poset.from_iterables(4, family)
     result = sdepth_bruteforce(poset)
-    largest, forced = _threshold_bounds(poset.sets)
-    assert (largest, forced) == (4, tried[0])
+    assert _forced_bottom_bound(poset.sets) == tried[0]
     assert thresholds == tried
     assert result.sdepth == tried[-1] == plain_sdepth(poset.sets)
 

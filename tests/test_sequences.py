@@ -595,6 +595,12 @@ def test_reconstruction_identity():
         assert total == h.value_at(k)
 
 
+def test_support_end_is_the_last_positive_index_or_none_for_a_tail():
+    assert FiniteSequence(-2, [0, 3, 0, 1, 0]).support_end == 1
+    for h in (PolynomialSequence([1, 1]), GeometricSequence(2, 3).shifted(-1), PolynomialSequence([2]).shifted(5)):
+        assert h.support_end is None
+
+
 def test_window_materializes_tails():
     p = PolynomialSequence([1, 1])
     w = p.window(4)
@@ -614,7 +620,7 @@ def test_finite_window_slice_equals_the_generic_path():
     # support [-2, 4] with the interior zero run h(0) = h(1) = 0
     h = FiniteSequence(-2, [3, 1, 0, 0, 2, 0, 5])
     for hi in (-2, -1, 0, 1, 2, 3, 4, 5, 9):
-        assert h.window(hi) == sequences.Sequence.window(h, hi)
+        assert h.window(hi) == FiniteSequence(-2, [h.value_at(j) for j in range(-2, hi + 1)])
     with pytest.raises(DomainError, match=r"^window end -3 lies below the support start -2$"):
         h.window(-3)
 
