@@ -8,11 +8,11 @@ counts together with a partition certifying that both depths coincide.
 """
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence as SequenceABC
-from itertools import accumulate, chain, combinations, islice
-from operator import eq, itemgetter
+from itertools import chain, combinations, islice, starmap
+from operator import itemgetter
 
 from .errors import DomainError, SchemaError
 from .records import Record
@@ -156,24 +156,21 @@ def validate_partition(partition: IntervalPartition) -> ValidationReport:
 
     Clauses, in order: each bottom lies under its top, every interval stays
     inside the family, intervals are pairwise disjoint, and every family
-    member is covered.  Each clause is decided at once on the streamed
-    interval members: a subset test against the family, the member count
-    against the distinct count, that count against the family size.  At
-    most len(family) + 1 members of an interval are read, since by then an
-    interval must hold a set outside the family; intervals holding more
-    than max(len(family), ENTRY_BUDGET) members, each counted up to that
-    limit, are refused with DomainError before any member is read.  Only a
-    failed clause is scanned again, to name its first offender: for an
-    overlap, the smallest pair in index order.
+    member is covered.  The last three are decided on one unordered stream
+    of members, by a subset test and by comparing the member count, the
+    distinct count and the family size.  A one-set interval [c, c] gives c,
+    a wider one at most len(family) + 1 members, by when one lies outside
+    the family.  Over max(len(family), ENTRY_BUDGET) members so counted
+    raise DomainError before any member is read.  A failed clause is
+    walked again, in index order, to name its first offender.
     """
     target = partition.target
     intervals = partition.intervals
     if not intervals:
         return ValidationReport(False, None, "no intervals given")
-    # iterators over the bounds: copying them out, or zip(*intervals), costs memory and collections
-    bottom, top = itemgetter(0), itemgetter(1)
-    singletons = all(map(eq, map(bottom, intervals), map(top, intervals)))
-    if max(map(top, intervals)) >> target.n or not singletons and any(c & ~d for c, d in intervals):
+    singles = [c for c, d in intervals if c == d]
+    wide = [bounds for bounds in intervals if bounds[0] != bounds[1]]  # the pairs themselves, not copies
+    if max(singles, default=0) >> target.n or any(c & ~d or d >> target.n for c, d in wide):
         for c, d in intervals:
             if c & ~d:
                 return ValidationReport(False, None, f"bottom {_fmt(c)} is not contained in top {_fmt(d)}")
@@ -182,29 +179,26 @@ def validate_partition(partition: IntervalPartition) -> ValidationReport:
 
     family = target.sets
     read = len(family) + 1  # by then an interval must hold a set outside the family
-    sizes = [1] * len(intervals) if singletons else [min(1 << (d ^ c).bit_count(), read) for c, d in intervals]
-    total = sum(sizes)
+    total = len(singles) + sum(min(1 << (d ^ c).bit_count(), read) for c, d in wide)
     budget = max(len(family), ENTRY_BUDGET)
     if total > budget:
         raise DomainError(f"intervals hold at least {total} members, over the budget of {budget}")
 
-    def members() -> Iterable[int]:
-        """The first len(family) + 1 members of each interval, in order."""
-        if singletons:
-            return map(bottom, intervals)
-        return chain.from_iterable((c,) if c == d else islice(interval_members(c, d), read) for c, d in intervals)
+    def members_of(c: int, d: int) -> Iterable[int]:  # at most len(family) + 1 of them
+        return (c,) if c == d else islice(interval_members(c, d), read)
+
+    def members() -> Iterable[int]:  # every interval's, unordered
+        return chain(singles, chain.from_iterable(starmap(members_of, wide)))
 
     if not family.issuperset(members()):
-        p, m = next((p, m) for p, m in enumerate(members()) if m not in family)
-        c, d = intervals[bisect_right(list(accumulate(sizes)), p)]  # the interval holding position p
+        c, d, m = next((c, d, m) for c, d in intervals for m in members_of(c, d) if m not in family)
         reason = f"interval [{_fmt(c)},{_fmt(d)}] contains {_fmt(m)}, which is not in the family"
         return ValidationReport(False, None, reason)
     covered = set(members()) if total <= len(family) else ()  # else some member is held twice
     if len(covered) < total:
         # the first interval holding a member held twice, and the first later one it meets
-        counts = Counter(members())
-        p = next(p for p, m in enumerate(members()) if counts[m] > 1)
-        i = p if singletons else bisect_right(list(accumulate(sizes)), p)
+        twice = {m for m, k in Counter(members()).items() if k > 1}
+        i = next(i for i, (c, d) in enumerate(intervals) if not twice.isdisjoint(members_of(c, d)))
         c1, d1 = intervals[i]
         c2, d2 = next((c, d) for c, d in intervals[i + 1:] if not (c | c1) & ~(d & d1))
         return ValidationReport(False, None, f"intervals [{_fmt(c1)},{_fmt(d1)}] and [{_fmt(c2)},{_fmt(d2)}] overlap")
