@@ -47,14 +47,14 @@ def elements_from_mask(mask: int) -> tuple[int, ...]:
 
 
 def interval_members(bottom: int, top: int) -> Iterable[int]:
-    """All sets between bottom and top, inclusive."""
-    free = top & ~bottom
-    sub = free
-    while True:
+    """All sets between bottom and top, inclusive; none when bottom is not under top."""
+    if bottom & ~top:
+        return
+    sub = free = top & ~bottom
+    while sub:
         yield bottom | sub
-        if sub == 0:
-            return
         sub = (sub - 1) & free
+    yield bottom
 
 
 def _ground_size(n: int) -> int:
@@ -118,8 +118,14 @@ class IntervalPartition(Record):
     intervals: tuple
 
     def __post_init__(self):
-        bounds = tuple((_int(c, "set mask", 0), _int(d, "set mask", 0)) for c, d in self.intervals)
-        object.__setattr__(self, "intervals", bounds)
+        bounds = []
+        for i, pair in enumerate(self.intervals):
+            try:
+                c, d = pair
+            except (TypeError, ValueError):
+                raise DomainError(f"interval {i} must be a (bottom, top) pair") from None
+            bounds.append((_int(c, "set mask", 0), _int(d, "set mask", 0)))
+        object.__setattr__(self, "intervals", tuple(bounds))
 
     @property
     def sdepth(self) -> int:
@@ -160,8 +166,8 @@ def validate_partition(partition: IntervalPartition) -> ValidationReport:
     of members, by a subset test and by comparing the member count, the
     distinct count and the family size.  A one-set interval [c, c] gives c,
     a wider one at most len(family) + 1 members, by when one lies outside
-    the family.  Over max(len(family), ENTRY_BUDGET) members so counted
-    raise DomainError before any member is read.  A failed clause is
+    the family.  Intervals holding more than max(len(family), ENTRY_BUDGET)
+    such members raise DomainError before any is read.  A failed clause is
     walked again, in index order, to name its first offender.
     """
     target = partition.target
@@ -458,10 +464,7 @@ def realize(h: Sequence) -> RealizationResult:
         )
 
     all_intervals = _block_intervals(d, b) + _fresh_level_singletons(upper_counts, used, pool_size)
-    members = set()
-    for c, dd in all_intervals:
-        members.update(interval_members(c, dd))
-    poset = Poset(ground_size, frozenset(members))
+    poset = Poset(ground_size, frozenset(chain.from_iterable(starmap(interval_members, all_intervals))))
     partition = IntervalPartition(poset, all_intervals)
     report = validate_partition(partition)
 

@@ -87,15 +87,18 @@ def oracle_partition_report(n: int, family, intervals) -> tuple:
             if m not in family:
                 return (False, None, f"interval [{_set_text(c)},{_set_text(d)}] contains "
                         f"{_set_text(m)}, which is not in the family")
+    # each interval's members, listed once: by now every one lies inside the family
+    members = [set(_members(c, d)) for c, d in intervals]
     for i, (c1, d1) in enumerate(intervals):
-        for c2, d2 in intervals[i + 1:]:
-            if set(_members(c1, d1)) & set(_members(c2, d2)):
+        for j in range(i + 1, len(intervals)):
+            if members[i] & members[j]:
+                c2, d2 = intervals[j]
                 return (False, None, f"intervals [{_set_text(c1)},{_set_text(d1)}] and "
                         f"[{_set_text(c2)},{_set_text(d2)}] overlap")
     for m in family:
-        if not any(m in _members(c, d) for c, d in intervals):
+        if not any(m in s for s in members):
             return False, None, f"family member {_set_text(m)} is not covered"
-    total = sum(len(_members(c, d)) for c, d in intervals)
+    total = sum(map(len, members))
     if total != len(family):
         return False, None, f"interval sizes sum to {total} but the family has {len(family)} members"
     return True, min(bin(d).count("1") for _, d in intervals), None

@@ -161,6 +161,19 @@ def test_interval_disjointness_rule():
     }
 
 
+def test_interval_members_is_empty_when_bottom_is_not_under_top():
+    assert list(interval_members(1, 2)) == []
+    assert list(interval_members(0b101, 0b011)) == []
+    assert list(interval_members(0b001, 0b011)) == [0b011, 0b001]
+    assert list(interval_members(0b110, 0b110)) == [0b110]
+
+
+@pytest.mark.parametrize("pair", [(1,), (1, 3, 3), 5, None], ids=["one", "three", "int", "none"])
+def test_interval_partition_refuses_an_interval_that_is_not_a_pair(pair):
+    with pytest.raises(DomainError, match=r"^interval 1 must be a \(bottom, top\) pair$"):
+        IntervalPartition(Poset(3, frozenset({1, 3})), [(1, 3), pair])
+
+
 def test_validate_partition_accepts_depth_three_cover():
     poset = worked_poset()
     partition = make_partition(
@@ -294,6 +307,64 @@ def test_validate_partition_matches_pairwise_oracle():
             assert (report.ok, report.sdepth, report.reason) == expected, intervals
             seen.add(expected[2].split()[0] if expected[2] else "valid")
     assert {"valid", "interval", "intervals", "family"} <= seen
+
+    # one wider interval among about 300 one-set intervals over [9], in random order, the shape of
+    # realize's upper levels; each kind of corruption once and twice
+    seen.clear()
+    for roll in (None, 0.1, 0.4, 0.6, 0.9):
+        for count in (1, 2):
+            p = rng.randrange(7)
+            d = rng.randrange(1 << 9) | 0b111 << p
+            c = d & ~(rng.choice((0b011, 0b101, 0b111)) << p)  # two or three free elements
+            inner = set(interval_members(c, d))
+            family = list(inner | set(rng.sample(range(1 << 9), 300)))
+            intervals = [(c, d)] + [(m, m) for m in family if m not in inner]
+            rng.shuffle(intervals)
+            for _ in range(0 if roll is None else count):
+                _corrupt(rng, 9, family, intervals, roll)
+            poset = Poset(9, frozenset(family))
+            report = validate_partition(IntervalPartition(poset, tuple(intervals)))
+            expected = oracle_partition_report(9, poset.sets, intervals)
+            assert (report.ok, report.sdepth, report.reason) == expected, intervals
+            seen.add(expected[2].split()[0] if expected[2] else "valid")
+    assert {"valid", "interval", "intervals", "family"} <= seen
+
+
+def test_validate_partition_never_reads_a_one_set_interval_through_interval_members(monkeypatch):
+    rng = random.Random(27)
+    family = rng.sample(range(1 << 7), 100)
+    valid = []
+    for c, d in _random_valid_partition(rng, family):
+        valid += [(c, d)] if c != d and rng.random() < 0.5 else [(m, m) for m in interval_members(c, d)]
+    rng.shuffle(valid)
+    wide = [(c, d) for c, d in valid if c != d]
+    outside = next(m for m in range(1 << 7) if m not in family)
+    # a repeated wider interval and a repeated one-set interval, both last, so the walk passes every interval
+    cases = {
+        "valid": valid,
+        "outside": valid + [(outside, outside)],
+        "overlap": valid + wide[-1:],
+        "overlap-single": valid + [next((c, d) for c, d in valid if c == d)],
+        "missing": [iv for iv in valid if iv != wide[-1]],
+    }
+    real = posets.interval_members
+    read = []
+
+    def members(c, d):
+        if c == d:
+            pytest.fail(f"interval_members read the one-set interval [{c}, {d}]")
+        read.append((c, d))
+        return real(c, d)
+
+    monkeypatch.setattr(posets, "interval_members", members)
+    reasons = set()
+    for name, intervals in cases.items():
+        poset = Poset(7, frozenset(family))
+        report = validate_partition(IntervalPartition(poset, tuple(intervals)))
+        assert (report.ok, report.sdepth, report.reason) == oracle_partition_report(7, poset.sets, intervals), name
+        reasons.add(report.reason.split()[0] if report.reason else "valid")
+    assert reasons == {"valid", "interval", "intervals", "family"}
+    assert len(wide) >= 3 and set(read) == set(wide)
 
 
 def test_validate_partition_refuses_a_huge_interval_before_enumerating_it():
