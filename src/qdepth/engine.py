@@ -21,7 +21,7 @@ from itertools import pairwise
 from .errors import DomainError
 from .records import Record
 from .sequences import ENTRY_SPAN, BetaTable, GeometricSequence, Sequence, beta_rows, beta_table, binomial
-from .sequences import _first_negative, _index, _row_length
+from .sequences import _first_negative, _row_length
 from .sequences import beta  # unused here, but the benchmark's tracer rebinds engine.beta
 
 
@@ -111,8 +111,9 @@ def qdepth_value(h: Sequence) -> int:
 
 
 def qdepth_at_least(h: Sequence, d: int) -> DepthCheck:
-    """Test one candidate depth by reading row d from beta_table, in budget."""
-    table = beta_table(h, _index(h, d, "candidate depth {}"))
+    """Test one candidate depth by reading row d from beta_table; d is first refused as in the side tests."""
+    _row_length(h, d, "candidate depth {}")
+    table = beta_table(h, d)
     k = table.first_negative
     return DepthCheck(d, k is None, k, table.entries.get(k))
 

@@ -14,13 +14,13 @@ from collections.abc import Iterable, Mapping, Sequence as SequenceABC
 from itertools import chain, combinations, islice, starmap
 from operator import itemgetter
 
+import qdepth
+
 from .errors import DomainError, SchemaError
 from .records import Record
 from .sequences import DEFAULT_BRUTEFORCE_CAP, ENTRY_BUDGET, FiniteSequence, Sequence, _int
 
 MAX_GROUND_SIZE = 63
-# qdepth.engine, loaded by the first depth search: verify-partition and sdepth never need it
-engine = None
 
 Interval = tuple[int, int]
 
@@ -103,12 +103,9 @@ class Poset(Record):
         return {"n": self.n, "sets": [list(elements_from_mask(m)) for m in self.sorted_masks()]}
 
 
-def poset_qdepth(poset: Poset) -> "engine.QDepthResult":
+def poset_qdepth(poset: Poset) -> "qdepth.engine.QDepthResult":
     """Depth of the family, computed on its level-count sequence."""
-    global engine
-    if engine is None:
-        from . import engine
-    return engine.qdepth(poset.level_sequence())
+    return qdepth.engine.qdepth(poset.level_sequence())  # engine loads on first use: sdepth never needs it
 
 
 class IntervalPartition(Record):
@@ -436,18 +433,17 @@ def realize(h: Sequence) -> RealizationResult:
     with bottoms of size j, each on its own block of d fresh elements; for
     finitely supported input, every level above d is filled with one-set
     intervals over a shared pool of fresh elements, so the whole support is
-    realized.  The ground size is known before any set is built, and inputs
-    needing more than MAX_GROUND_SIZE elements are rejected up front.  The
-    intervals are disjoint by construction; the partition, the level counts
-    and the partition depth are checked.  Level counts equal to the shifted
-    window give the family depth d without a second depth search.
+    realized.  The ground size and the family size (the sum of the level
+    counts) are known before any set is built, and inputs needing more than
+    MAX_GROUND_SIZE elements, or then more than ENTRY_BUDGET members, are
+    rejected up front.  The intervals are disjoint by construction; the
+    partition, the level counts and the partition depth are checked.  Level
+    counts equal to the shifted window give the family depth d without a
+    second depth search.
     """
-    global engine
-    if engine is None:
-        from . import engine
     m = h.stats().k0 - 1
     g = h.shifted(m)
-    result = engine.qdepth(g)
+    result = qdepth.engine.qdepth(g)
     d = result.qdepth
     b = tuple(result.accepted_table.entries[j] for j in range(1, d + 1))
 
@@ -462,6 +458,9 @@ def realize(h: Sequence) -> RealizationResult:
         raise DomainError(
             f"realization needs {need} ground elements, beyond the {MAX_GROUND_SIZE} cap"
         )
+    members = sum(counts.values())
+    if members > ENTRY_BUDGET:
+        raise DomainError(f"realization needs {members} family members, over the budget of {ENTRY_BUDGET}")
 
     all_intervals = _block_intervals(d, b) + _fresh_level_singletons(upper_counts, used, pool_size)
     poset = Poset(ground_size, frozenset(chain.from_iterable(starmap(interval_members, all_intervals))))

@@ -20,10 +20,9 @@ from operator import mul
 from .errors import DomainError, SchemaError
 from .records import Record
 
-# Most transform entries one computation may build: rows k0..d hold
-# (d - k0 + 1)(d - k0 + 2) / 2 of them, so d - k0 <= ENTRY_SPAN = 1998.  The
-# largest accepted scans take about a second on a 2-core Xeon VM under
-# CPython 3.11 and keep one row in memory.
+# Every row, table and candidate depth d obeys d - k0 <= ENTRY_SPAN = 1998, so rows k0..d hold at most
+# ENTRY_BUDGET entries; the largest scans take about a second on a 2-core Xeon VM under CPython 3.11 and
+# keep one row in memory.  ENTRY_BUDGET itself bounds counts that are not rows: members, points, terms.
 ENTRY_BUDGET = 2_000_000
 ENTRY_SPAN = (math.isqrt(8 * ENTRY_BUDGET + 1) - 3) // 2
 # Largest family posets.sdepth_bruteforce searches by default.  It is kept
@@ -341,16 +340,6 @@ def beta(h: Sequence, k: int, d: int) -> int:
     return sum((-1) ** (k - j) * binomial(d - j, k - j) * h.value_at(j) for j in range(k0, end + 1))
 
 
-def _rows_budget(h: Sequence, up_to: int) -> int:
-    """k0, after refusing an up_to below it or whose rows k0..up_to hold more than ENTRY_BUDGET entries."""
-    k0 = h.stats().k0
-    entries = (_index(h, up_to, "table at d={}") - k0 + 1) * (up_to - k0 + 2) // 2
-    if entries > ENTRY_BUDGET:
-        msg = f"transform rows up to d={up_to} need {entries} transform entries, over the budget of {ENTRY_BUDGET}"
-        raise DomainError(msg)
-    return k0
-
-
 def beta_rows(h: Sequence, up_to: int) -> Iterator[tuple[int, dict]]:
     """Yield (d, row) for every d from k0 to up_to.
 
@@ -359,12 +348,13 @@ def beta_rows(h: Sequence, up_to: int) -> Iterator[tuple[int, dict]]:
     row[d+1][k] = row[d][k] - row[d][k-1], with the two boundary entries
     row[d+1][k0] = h(k0) and row[d+1][d+1] = h(d+1) - row[d][d].  At the
     first next(), before any row is built, DomainError refuses an up_to
-    below k0 and a scan whose rows hold more than ENTRY_BUDGET entries.
+    below k0 or more than ENTRY_SPAN above it.
     The values come from one lazy h.iter_values(up_to), so a geometric
     tail pays one multiplication per row and a scan stopped after row d
     has read no value past h(d).
     """
-    k0 = _rows_budget(h, up_to)
+    _row_length(h, up_to, "table at d={}")
+    k0 = h.stats().k0
     values = h.iter_values(up_to)
     h0 = next(values)
     row = {k0: h0}
@@ -389,15 +379,16 @@ def _first_negative(row: dict) -> int | None:
 def beta_table(h: Sequence, d: int) -> BetaTable:
     """Full transform table at d, for d at or beyond the support start.
 
-    Before any work, every kind gets the beta_rows refusal of rows k0..d
-    past ENTRY_BUDGET entries.  A polynomial tail's table is then its row
-    (PolynomialSequence.row, from the generating function) when it reads
-    L = min(degree, D) + 1 differences with L <= D / 10, D = d - k0: its
+    Before any work, every kind gets the beta_rows refusal of a d below k0
+    or more than ENTRY_SPAN above it.  A polynomial tail's table is then
+    its row (PolynomialSequence.row, from the generating function) when it
+    reads L = min(degree, D) + 1 differences with L <= D / 10, D = d - k0: its
     L * D steps each cost about as much as five of the recurrence's
     D^2 / 2 subtractions, as timed for D from 20 to 1,998.  Other kinds
     and other polynomial tails take the last row of the recurrence.
     """
-    k0 = _rows_budget(h, d)
+    _row_length(h, d, "table at d={}")
+    k0 = h.stats().k0
     if isinstance(h, PolynomialSequence) and 10 * (min(h.degree, d - k0) + 1) <= d - k0:
         entries = dict(zip(range(k0, d + 1), h.row(d)))
     else:

@@ -326,7 +326,7 @@ def test_beta_table_over_budget_exits_3(capsys):
     seq = '{"kind":"polynomial","coeffs":[1,1]}'
     code, out, err = run_cli(capsys, "beta-table", "--seq", seq, "--d", "1000000")
     assert (code, out) == (3, "")
-    assert "over the budget of 2000000" in json.loads(err)["message"]
+    assert json.loads(err)["message"] == "table at d=1000000 lies more than 1998 above the support start 0"
 
 
 def test_qdepth_search_past_the_span_exits_3(capsys, monkeypatch):

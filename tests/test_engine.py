@@ -16,6 +16,8 @@ from qdepth import (
     PolynomialSequence,
     add,
     beta,
+    beta_rows,
+    beta_table,
     depth_upper_bound,
     monomial_plus_constant,
     necessary_condition_holds,
@@ -108,15 +110,14 @@ def test_qdepth_at_least_examples():
 
 
 def test_qdepth_at_least_scans_only_the_search_span(monkeypatch):
-    # rows k0..d hold (d - k0 + 1)(d - k0 + 2) / 2 entries: 66 at d - k0 = 10, 78 at 11
-    monkeypatch.setattr(sequences, "ENTRY_BUDGET", 66)
-    with pytest.raises(DomainError, match="transform rows up to d=11 need 78 transform entries, over the budget of 66"):
+    monkeypatch.setattr(sequences, "ENTRY_SPAN", 10)
+    with pytest.raises(DomainError, match="^candidate depth 11 lies more than 10 above the support start 0$"):
         qdepth_at_least(GeometricSequence(1, 11), 11)
     assert qdepth_at_least(GeometricSequence(1, 11), 10).ok
     monkeypatch.undo()
-    # past the budget the row is refused even where one direct sum would show a negative entry
+    # past the span the row is refused even where one direct sum would show a negative entry
     p = PolynomialSequence([1, 10**6])
-    with pytest.raises(DomainError, match="transform rows up to d=1000000 need"):
+    with pytest.raises(DomainError, match="candidate depth 1000000 lies more than 1998 above"):
         qdepth_at_least(p, 10**6)
     assert [beta(p, k, 10**6) < 0 for k in range(3)] == [False, False, True]
 
@@ -191,6 +192,41 @@ def test_side_conditions_refuse_a_candidate_past_the_entry_span_before_reading_a
     # at the edge both answer: the values grow by 10^6 per index, far past any binomial or factor below 2,000
     assert necessary_condition_holds(h, k0 + 1998)
     assert sufficient_condition_holds(h, k0 + 1998)
+
+
+ROW_CONSUMERS = {
+    "beta_rows": ("table at d={}", WORKED, lambda h, d: next(beta_rows(h, d))),
+    "beta_table": ("table at d={}", PolynomialSequence([1, 4], 3), beta_table),
+    "PolynomialSequence.row": ("row at d={}", PolynomialSequence([2, 0, 5], -2), PolynomialSequence.row),
+    "GeometricSequence.row": ("row at d={}", GeometricSequence(2, 9, -1), GeometricSequence.row),
+    "qdepth_at_least": ("candidate depth {}", PolynomialSequence([1, 4], 3), qdepth_at_least),
+    "necessary_condition_holds": ("candidate depth {}", GeometricSequence(3, 2, 4), necessary_condition_holds),
+    "sufficient_condition_holds": ("candidate depth {}", WORKED.shifted(-3), sufficient_condition_holds),
+}
+
+
+@pytest.mark.parametrize("what, h, consume", ROW_CONSUMERS.values(), ids=ROW_CONSUMERS)
+def test_every_row_consumer_reads_the_one_entry_span(monkeypatch, what, h, consume):
+    def refuse(*args):
+        raise AssertionError("work was done before the span check")
+
+    k0 = h.stats().k0
+    # at the defaults: D = 1998 answers, D = 1999 and a d below k0 are refused
+    consume(h, k0 + 1998)
+    with pytest.raises(DomainError, match=f"^{what.format(k0 + 1999)} lies more than 1998 above the support start {k0}$"):
+        consume(h, k0 + 1999)
+    with pytest.raises(DomainError, match=f"^{what.format(k0 - 1)} lies below the support start {k0}$"):
+        consume(h, k0 - 1)
+    # patching the one bound moves every refusal, and D = span + 1 reads no value
+    monkeypatch.setattr(sequences, "ENTRY_SPAN", 5)
+    consume(h, k0 + 5)
+    for owner in (sequences.Sequence, type(h)):
+        for name in {"value_at", "iter_values"} & set(vars(owner)):
+            monkeypatch.setattr(owner, name, refuse)
+    for owner, name in ((sequences, "beta_rows"), (sequences, "_tail_row"), (engine, "beta_table")):
+        monkeypatch.setattr(owner, name, refuse)
+    with pytest.raises(DomainError, match=f"^{what.format(k0 + 6)} lies more than 5 above the support start {k0}$"):
+        consume(h, k0 + 6)
 
 
 def test_side_conditions_read_the_values_in_one_pass(monkeypatch):

@@ -770,6 +770,30 @@ def test_realize_rejects_over_cap_before_allocating(values):
     assert peak < 1_000_000
 
 
+def test_realize_refuses_a_family_over_the_budget_before_building_a_set():
+    # the level counts C(25, k) fit 26 ground elements, as one interval of 2^25 members
+    h = FiniteSequence(1, [binomial(25, k) for k in range(26)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="^realization needs 33554432 family members, over the budget of 2000000$"):
+            realize(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_realize_family_budget_admits_a_family_at_the_budget(monkeypatch):
+    monkeypatch.setattr(posets, "ENTRY_BUDGET", 8)
+    assert len(realize(FiniteSequence(1, [1, 3, 3, 1])).poset) == 8
+    with pytest.raises(DomainError, match="^realization needs 9 family members, over the budget of 8$"):
+        realize(FiniteSequence(1, [1, 3, 3, 2]))
+    # the ground check comes first, so its message stays
+    monkeypatch.setattr(posets, "ENTRY_BUDGET", 1)
+    with pytest.raises(DomainError, match="beyond the 63 cap"):
+        realize(FiniteSequence(1, [1, 10**9]))
+
+
 def test_poset_json_round_trip():
     poset = worked_poset()
     assert poset_from_json_dict(poset.to_json_dict()) == poset

@@ -332,28 +332,27 @@ def test_beta_table_refuses_over_budget_before_building(monkeypatch):
             yield d, row
 
     monkeypatch.setattr("qdepth.sequences.beta_rows", recording)
-    with pytest.raises(DomainError, match="up to d=1000000 need 500001500001 transform entries"):
+    with pytest.raises(DomainError, match="table at d=1000000 lies more than 1998 above the support start 0"):
         beta_table(PolynomialSequence([1, 1]), 10**6)
     assert built == []
 
 
 def test_beta_rows_refuses_over_budget_at_first_next(monkeypatch):
     rows = beta_rows(PolynomialSequence([1, 1]), 10**6)
-    message = "transform rows up to d=1000000 need 500001500001 transform entries, over the budget of 2000000"
-    with pytest.raises(DomainError, match=message):
+    with pytest.raises(DomainError, match="^table at d=1000000 lies more than 1998 above the support start 0$"):
         next(rows)
-    monkeypatch.setattr("qdepth.sequences.ENTRY_BUDGET", 21)
+    monkeypatch.setattr("qdepth.sequences.ENTRY_SPAN", 5)
     h = WORKED.shifted(-3)
     assert [d for d, _ in beta_rows(h, 6)] == [1, 2, 3, 4, 5, 6]
-    with pytest.raises(DomainError, match="up to d=7 need 28 transform entries, over the budget of 21"):
+    with pytest.raises(DomainError, match="^table at d=7 lies more than 5 above the support start 1$"):
         next(beta_rows(h, 7))
 
 
 def test_beta_table_budget_counts_every_row_entry(monkeypatch):
-    monkeypatch.setattr("qdepth.sequences.ENTRY_BUDGET", 21)
+    monkeypatch.setattr("qdepth.sequences.ENTRY_SPAN", 5)
     h = WORKED.shifted(-3)
     assert beta_table(h, 6).d == 6
-    with pytest.raises(DomainError, match="need 28 transform entries, over the budget of 21"):
+    with pytest.raises(DomainError, match="table at d=7 lies more than 5 above the support start 1"):
         beta_table(h, 7)
 
 
@@ -476,13 +475,13 @@ def test_beta_table_refuses_over_budget_before_any_work_for_every_kind(monkeypat
     def refuse(*args):
         raise AssertionError("work was done before the budget check")
 
-    monkeypatch.setattr(sequences, "ENTRY_BUDGET", 21)
+    monkeypatch.setattr(sequences, "ENTRY_SPAN", 5)
     k0 = h.stats().k0
     assert beta_table(h, k0 + 5).d == k0 + 5
     for owner in (sequences, sequences.Sequence, type(h), PolynomialSequence, GeometricSequence):
         for name in {"beta_rows", "beta", "value_at", "iter_values", "row"} & set(vars(owner)):
             monkeypatch.setattr(owner, name, refuse)
-    message = f"transform rows up to d={k0 + 6} need 28 transform entries, over the budget of 21"
+    message = f"table at d={k0 + 6} lies more than 5 above the support start {k0}"
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         beta_table(h, k0 + 6)
 
