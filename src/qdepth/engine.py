@@ -102,7 +102,8 @@ def qdepth(h: Sequence) -> QDepthResult:
                 break
             q, accepted = d, row
     if q == top < ub:
-        raise DomainError(f"no negative row up to d={top}, and the bound d={ub} is past the entry budget")
+        raise DomainError(f"no negative row up to d={top}, and the bound d={ub} lies more than {ENTRY_SPAN} "
+                          f"above the support start {k0}")
     return QDepthResult(q, BetaTable(q, accepted, None), ub, witness)
 
 

@@ -18,7 +18,7 @@ import qdepth
 
 from .errors import DomainError, SchemaError
 from .records import Record
-from .sequences import DEFAULT_BRUTEFORCE_CAP, ENTRY_BUDGET, FiniteSequence, Sequence, _int
+from .sequences import DEFAULT_BRUTEFORCE_CAP, ENTRY_BUDGET, FiniteSequence, Sequence, _int, _trimmed
 
 MAX_GROUND_SIZE = 63
 
@@ -64,19 +64,23 @@ def _ground_size(n: int) -> int:
 
 
 class Poset(Record):
-    """A nonempty family of distinct subsets of [n], n at most 63."""
+    """A nonempty family of distinct subsets of [n], n at most 63; the pass checking it also counts its levels."""
 
     n: int
     sets: frozenset
 
     def __post_init__(self):
-        _ground_size(self.n)
-        object.__setattr__(self, "sets", frozenset(self.sets))
-        if not self.sets:
+        n = _ground_size(self.n)
+        sets = frozenset(self.sets)
+        if not sets:
             raise DomainError("family must be nonempty")
-        for mask in self.sets:
-            if _int(mask, "set mask", 0) >> self.n:
-                raise DomainError(f"set {elements_from_mask(mask)} exceeds the ground set [1, {self.n}]")
+        levels = [0] * (n + 1)
+        for mask in sets:
+            # a good mask passes the plain test; _int names a bool, non-int or negative one
+            if (type(mask) is not int or mask < 0 or mask >> n) and _int(mask, "set mask", 0) >> n:
+                raise DomainError(f"set {elements_from_mask(mask)} exceeds the ground set [1, {n}]")
+            levels[mask.bit_count()] += 1
+        self.__dict__.update(sets=sets, _levels=tuple(levels))
 
     @classmethod
     def from_iterables(cls, n: int, families: Iterable[Iterable[int]]) -> "Poset":
@@ -84,14 +88,10 @@ class Poset(Record):
         return cls(n, frozenset(mask_from_elements(f, _ground_size(n)) for f in families))
 
     def level_counts(self) -> dict:
-        h = self.level_sequence()
-        return {k: v for k, v in enumerate(h.values, h.offset) if v}
+        return {k: v for k, v in enumerate(self._levels) if v}
 
     def level_sequence(self) -> FiniteSequence:
-        counts = [0] * (self.n + 1)
-        for mask in self.sets:
-            counts[mask.bit_count()] += 1
-        return FiniteSequence(0, counts)  # trimmed to the lowest and highest levels
+        return FiniteSequence._checked(**_trimmed(0, self._levels))  # trimmed to the lowest and highest levels
 
     def sorted_masks(self) -> list[int]:
         return sorted(sorted(self.sets), key=int.bit_count)
@@ -247,19 +247,22 @@ def sdepth_bruteforce(poset: Poset, cap: int = DEFAULT_BRUTEFORCE_CAP) -> Sdepth
     if s > _int(cap, "cap"):
         raise DomainError(f"family has {s} members, exhaustive search is capped at {cap}")
     masks = poset.sorted_masks()
-    sizes = [m.bit_count() for m in masks]
+    sizes = list(map(int.bit_count, masks))
     full = (1 << s) - 1
     # has[bit]: the sets holding that element; elements no set holds get no entry
     has: dict[int, int] = {}
-    for i, m in enumerate(masks):
+    own = 1
+    for m in masks:
         while m:
             low = m & -m
-            has[low] = has.get(low, 0) | 1 << i
+            has[low] = has.get(low, 0) | own
             m ^= low
+        own <<= 1
     sup, sub = [], []
+    holders_of = list(has.items())  # a list reads faster than the dict's items view, once per set
     for m in masks:
         above, below = full, 0
-        for bit, holders in has.items():
+        for bit, holders in holders_of:
             if m & bit:
                 above &= holders
             else:
@@ -267,91 +270,96 @@ def sdepth_bruteforce(poset: Poset, cap: int = DEFAULT_BRUTEFORCE_CAP) -> Sdepth
         sup.append(above)
         sub.append(full ^ below)
 
-    # per bottom i: (top size, top j, members) of every whole interval [i, j], largest top first
+    # per bottom i: its whole intervals, listed when it first comes up (the helpers are unnested: it is faster)
     whole: list[list | None] = [None] * s
-
-    def tops_of(i: int) -> list:
-        tops = []
-        rest = sup[i]
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            j = low.bit_length() - 1
-            members = sup[i] & sub[j]
-            if members.bit_count() == 1 << (sizes[j] - sizes[i]):
-                tops.append((sizes[j], j, members))
-        tops.sort(key=itemgetter(0), reverse=True)  # stable: equal sizes keep j ascending
-        return tops
-
     t_hi, t_lo = sizes[-1], sizes[0]
     # a set with no other member below it is the bottom of its own interval in every partition
     for i in range(s):
         if sub[i] == 1 << i:
-            whole[i] = tops_of(i)
+            whole[i] = _whole_tops(i, sup, sub, sizes)
             t_hi = min(t_hi, whole[i][0][0])
 
-    def coverable(rest: int, check: int, t: int, options: list) -> bool:
-        # a cover of rest puts each set x in check, all below t, in some [C, D'] with |D'| >= t,
-        # so rest holds a whole [x, D] with x <= D <= D' and |D| = t
-        while check:
-            low = check & -check
-            check ^= low
-            x = low.bit_length() - 1
-            opts = options[x]
-            if opts is None:
-                if whole[x] is None:
-                    whole[x] = tops_of(x)
-                opts = options[x] = [members for size, _, members in whole[x] if size == t]
-            for members in opts:
-                if members & rest == members:
-                    break
-            else:
-                return False
-        return True
-
-    def cover(t: int) -> tuple | None:
-        dead: set[int] = set()
-        below = (1 << bisect_left(sizes, t)) - 1  # the sets of size below t, a prefix
-        # per set x below t: the members of every whole [x, D] with |D| = t, built on first use
-        options: list[list | None] = [None] * s
-        stack = []  # (unassigned sets, bottom, untried tops, top taken) of each state on the path
-        remaining = full
-        while remaining:
-            i = (remaining & -remaining).bit_length() - 1
-            tops = whole[i]
-            if tops is None:
-                tops = whole[i] = tops_of(i)
-            untried = iter(tops)
-            # take the next top that fits and leaves a coverable state, else backtrack
-            while True:
-                rest = None
-                for size, j, members in untried:
-                    if size < t:
-                        break
-                    if members & remaining == members and remaining ^ members not in dead:
-                        rest = remaining ^ members
-                        # only the sets under j can have lost a whole interval
-                        check = sub[j] & rest & below
-                        if not check or coverable(rest, check, t, options):
-                            break
-                        dead.add(rest)
-                        rest = None
-                if rest is not None:
-                    break
-                dead.add(remaining)
-                if not stack:
-                    return None
-                remaining, i, untried, _ = stack.pop()
-            stack.append((remaining, i, untried, j))
-            remaining = rest
-        return tuple((masks[i], masks[j]) for _, i, _, j in stack)
-
     for t in range(t_hi, t_lo - 1, -1):
-        intervals = cover(t)
+        intervals = _cover(t, masks, sizes, sup, sub, whole)
         if intervals is not None:
-            return SdepthResult(t, IntervalPartition(poset, intervals))
+            return SdepthResult(t, IntervalPartition._checked(target=poset, intervals=intervals))
 
     raise AssertionError("unreachable: singleton intervals always cover the family")
+
+
+def _whole_tops(i: int, sup: list, sub: list, sizes: list) -> list:
+    """(top size, top j, members) of every whole interval [i, j] inside the family, largest top first."""
+    tops = []
+    above = rest = sup[i]
+    size = sizes[i]
+    while rest:
+        j = (rest & -rest).bit_length() - 1
+        rest &= rest - 1
+        members = above & sub[j]
+        if members.bit_count() == 1 << (sizes[j] - size):
+            tops.append((sizes[j], j, members))
+    tops.sort(key=itemgetter(0), reverse=True)  # stable: equal sizes keep j ascending
+    return tops
+
+
+def _coverable(rest: int, check: int, t: int, options: list, whole: list, sup: list, sub: list, sizes: list) -> bool:
+    """Whether rest holds, for each set x in check, all below t, a whole [x, D] with |D| = t: a cover of rest
+    puts each such x in some [C, D'] with |D'| >= t, and so in such an [x, D] with D <= D'."""
+    while check:
+        low = check & -check
+        check ^= low
+        x = low.bit_length() - 1
+        opts = options[x]
+        if opts is None:
+            if whole[x] is None:
+                whole[x] = _whole_tops(x, sup, sub, sizes)
+            opts = options[x] = [members for size, _, members in whole[x] if size == t]
+        for members in opts:
+            if members & rest == members:
+                break
+        else:
+            return False
+    return True
+
+
+def _cover(t: int, masks: list, sizes: list, sup: list, sub: list, whole: list) -> tuple | None:
+    """A partition of the family into whole intervals with tops of t or more elements, as mask pairs, or None."""
+    s = len(masks)
+    dead: set[int] = set()
+    below = (1 << bisect_left(sizes, t)) - 1  # the sets of size below t, a prefix
+    # per set x below t: the members of every whole [x, D] with |D| = t, built on first use
+    options: list[list | None] = [None] * s
+    stack = []  # (unassigned sets, bottom, untried tops, top taken) of each state on the path
+    remaining = (1 << s) - 1
+    while remaining:
+        i = (remaining & -remaining).bit_length() - 1
+        tops = whole[i]
+        if tops is None:
+            tops = whole[i] = _whole_tops(i, sup, sub, sizes)
+        untried = iter(tops)
+        # take the next top that fits and leaves a coverable state, else backtrack
+        while True:
+            rest = None
+            for size, j, members in untried:
+                if size < t:
+                    break
+                if members & remaining == members and remaining ^ members not in dead:
+                    rest = remaining ^ members
+                    # only the sets under j can have lost a whole interval
+                    check = sub[j] & rest & below
+                    if not check or _coverable(rest, check, t, options, whole, sup, sub, sizes):
+                        break
+                    dead.add(rest)
+                    rest = None
+            if rest is not None:
+                break
+            dead.add(remaining)
+            if not stack:
+                return None
+            remaining, i, untried, _ = stack.pop()
+        stack.append((remaining, i, untried, j))
+        remaining = rest
+    return tuple([(masks[i], masks[j]) for _, i, _, j in stack])
 
 
 class RealizationResult(Record):

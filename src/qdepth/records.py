@@ -11,29 +11,31 @@ before the first construction stays bound: the stand-in it wraps runs the
 compiled one.  Instances compare, hash, print, pickle and copy by their
 fields and refuse assignment and deletion; attributes that __post_init__
 sets beside the fields, like support stats, take no part in that.
+_checked builds an instance from values already checked, without
+__post_init__; it compiles the class first, so the value is the same.
 """
 
 
-def _first_init(self, *args, **kwargs):
-    """Each record class's __init__ until its first construction: compile the class's own, then run it.
+def _compile(cls):
+    """Compile and return the class's own __init__, and its _values; racing threads compile interchangeable ones."""
+    params = "".join(f", {n}=_defaults[{n!r}]" if n in cls._defaults else f", {n}" for n in cls._fields)
+    # class bodies mangle __names, so no field is called __d
+    stores = "".join(f"\n    __d[{n!r}] = {n}" for n in cls._fields)
+    post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+    values = "".join(f"self.{n}, " for n in cls._fields)
+    namespace = {"__name__": cls.__module__, "_defaults": cls._defaults}
+    exec(f"def __init__(self{params}):\n    __d = self.__dict__{stores}{post}\n"
+         f"def _values(self):\n    return ({values})", namespace)
+    for name in ("__init__", "_values"):
+        namespace[name].__qualname__ = f"{cls.__qualname__}.{name}"
+    cls._values, cls._init = namespace["_values"], namespace["__init__"]
+    return cls._init
 
-    Threads racing on a class's first construction may each compile it; the results are interchangeable.
-    """
+
+def _first_init(self, *args, **kwargs):
+    """Each record class's __init__ until its first construction: compile the class's own, then run it."""
     cls = type(self)
-    init = cls.__dict__.get("_init")
-    if init is None:
-        params = "".join(f", {n}=_defaults[{n!r}]" if n in cls._defaults else f", {n}" for n in cls._fields)
-        # class bodies mangle __names, so no field is called __d
-        stores = "".join(f"\n    __d[{n!r}] = {n}" for n in cls._fields)
-        post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
-        values = "".join(f"self.{n}, " for n in cls._fields)
-        namespace = {"__name__": cls.__module__, "_defaults": cls._defaults}
-        exec(f"def __init__(self{params}):\n    __d = self.__dict__{stores}{post}\n"
-             f"def _values(self):\n    return ({values})", namespace)
-        for name in ("__init__", "_values"):
-            namespace[name].__qualname__ = f"{cls.__qualname__}.{name}"
-        init = cls._init = namespace["__init__"]
-        cls._values = namespace["_values"]
+    init = cls.__dict__.get("_init") or _compile(cls)
     if cls.__dict__["__init__"] is _first_init:  # else keep what was rebound over the stand-in
         cls.__init__ = init
     init(self, *args, **kwargs)
@@ -51,6 +53,15 @@ class Record:
         cls._fields += tuple(own)
         cls._defaults = {**cls._defaults, **{n: cls.__dict__[n] for n in own if n in cls.__dict__}}
         cls.__init__ = _first_init
+
+    @classmethod
+    def _checked(cls, **attrs):
+        """An instance of attrs, its fields and any attributes beside them, as given: checked, so no __post_init__."""
+        if "_values" not in cls.__dict__:
+            _compile(cls)
+        self = object.__new__(cls)
+        self.__dict__.update(attrs)
+        return self
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

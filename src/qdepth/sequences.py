@@ -80,11 +80,12 @@ class Sequence(Record):
 
     def iter_values(self, hi: int) -> Iterator[int]:
         """h(k0), h(k0 + 1), ..., h(hi) in order, computed lazily, for hi >= k0."""
-        return map(self.value_at, range(self.stats().k0, _index(self, hi, "values end {}") + 1))
+        return map(self.value_at, range(hi - _span(self, hi, "values end {}"), hi + 1))
 
     def window(self, hi: int) -> "FiniteSequence":
         """Materialize the values on [k0, hi] as a finite sequence; none past the support end is read."""
-        hi = min(_index(self, hi, "window end {}"), hi if self.support_end is None else self.support_end)
+        _span(self, hi, "window end {}")
+        hi = hi if self.support_end is None else min(hi, self.support_end)
         return FiniteSequence(self.stats().k0, list(self.iter_values(hi)))
 
     def to_json_dict(self) -> dict:
@@ -108,12 +109,13 @@ def _int(v: int, what: str, least: int | None = None) -> int:
     return v
 
 
-def _index(h: Sequence, v: int, what: str) -> int:
-    """v itself when it is an int at or after the support start of h; what is a template like "window end {}"."""
-    if isinstance(v, bool) or not isinstance(v, int) or v < h.stats().k0:
+def _span(h: Sequence, v: int, what: str) -> int:
+    """v - k0 for an int v at or after the support start k0 of h; what is a template like "window end {}"."""
+    k0 = h.stats().k0
+    if isinstance(v, bool) or not isinstance(v, int) or v < k0:
         _int(v, what.format(v))
-        raise DomainError(f"{what.format(v)} lies below the support start {h.stats().k0}")
-    return v
+        raise DomainError(f"{what.format(v)} lies below the support start {k0}")
+    return v - k0
 
 
 class FiniteSequence(Sequence):
@@ -128,20 +130,7 @@ class FiniteSequence(Sequence):
     values: tuple
 
     def __post_init__(self):
-        _int(self.offset, "offset")
-        vals = [_int(v, "values", 0) for v in self.values]
-        lo, hi = 0, len(vals)
-        while lo < hi and not vals[lo]:
-            lo += 1
-        if lo == hi:
-            raise DomainError("sequence must not be identically zero")
-        while not vals[hi - 1]:
-            hi -= 1
-        vals = tuple(vals[lo:hi])
-        k0 = self.offset + lo
-        kf = k0 + (vals.index(0) if 0 in vals else len(vals)) - 1
-        h1 = vals[1] if len(vals) > 1 else 0
-        self.__dict__.update(offset=k0, values=vals, _stats=SequenceStats(k0, kf, vals[0], h1, h1 // vals[0]))
+        self.__dict__.update(_trimmed(_int(self.offset, "offset"), [_int(v, "values", 0) for v in self.values]))
 
     @property
     def support_end(self) -> int:
@@ -149,7 +138,7 @@ class FiniteSequence(Sequence):
 
     def iter_values(self, hi: int) -> Iterator[int]:
         # the stored values, then zeros past the support end
-        n = _index(self, hi, "values end {}") - self.offset + 1
+        n = _span(self, hi, "values end {}") + 1
         return chain(self.values[:n], repeat(0, n - len(self.values)))
 
     def value_at(self, j: int) -> int:
@@ -164,6 +153,22 @@ class FiniteSequence(Sequence):
     def scaled(self, c: int) -> "FiniteSequence":
         _int(c, "scale factor", 1)
         return FiniteSequence(self.offset, [c * v for v in self.values])
+
+
+def _trimmed(offset: int, vals: list | tuple) -> dict:
+    """The fields and stats of a finite sequence: vals trimmed to their first and last positive entries."""
+    lo, hi = 0, len(vals)
+    while lo < hi and not vals[lo]:
+        lo += 1
+    if lo == hi:
+        raise DomainError("sequence must not be identically zero")
+    while not vals[hi - 1]:
+        hi -= 1
+    vals = tuple(vals[lo:hi])
+    k0 = offset + lo
+    kf = k0 + (vals.index(0) if 0 in vals else len(vals)) - 1
+    h1 = vals[1] if len(vals) > 1 else 0
+    return {"offset": k0, "values": vals, "_stats": SequenceStats(k0, kf, vals[0], h1, h1 // vals[0])}
 
 
 class PolynomialSequence(Sequence):
@@ -243,7 +248,7 @@ class GeometricSequence(Sequence):
         return self.scale * self.ratio**t
 
     def iter_values(self, hi: int) -> Iterator[int]:
-        span = _index(self, hi, "values end {}") - self.stats().k0
+        span = _span(self, hi, "values end {}")
         return accumulate(repeat(self.ratio, span), mul, initial=self.scale)
 
     def row(self, d: int) -> list[int]:
@@ -260,10 +265,10 @@ class GeometricSequence(Sequence):
 
 def _row_length(h: Sequence, d: int, what: str = "row at d={}") -> int:
     """D + 1 = d - k0 + 1, the length of row d, after refusing a d below k0 or past k0 + ENTRY_SPAN."""
-    k0 = h.stats().k0
-    if _index(h, d, what) - k0 > ENTRY_SPAN:
-        raise DomainError(f"{what.format(d)} lies more than {ENTRY_SPAN} above the support start {k0}")
-    return d - k0 + 1
+    span = _span(h, d, what)
+    if span > ENTRY_SPAN:
+        raise DomainError(f"{what.format(d)} lies more than {ENTRY_SPAN} above the support start {d - span}")
+    return span + 1
 
 
 def _tail_row(c: list[int], n: int, rate: int) -> list[int]:
@@ -353,8 +358,8 @@ def beta_rows(h: Sequence, up_to: int) -> Iterator[tuple[int, dict]]:
     tail pays one multiplication per row and a scan stopped after row d
     has read no value past h(d).
     """
-    _row_length(h, up_to, "table at d={}")
-    k0 = h.stats().k0
+    n = _row_length(h, up_to, "table at d={}")
+    k0 = up_to - n + 1  # row up_to holds the n entries k0..up_to
     values = h.iter_values(up_to)
     h0 = next(values)
     row = {k0: h0}

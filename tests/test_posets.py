@@ -12,6 +12,7 @@ from helpers import (
     counting_identity_check,
     intervals_disjoint,
     oracle_partition_report,
+    oracle_qdepth,
     oracle_sdepth_search,
     plain_sdepth,
 )
@@ -102,6 +103,35 @@ def test_poset_validation():
         Poset(2, frozenset({8}))
     with pytest.raises(DomainError):
         Poset.from_iterables(2, [[3]])
+
+
+def _first_bad_mask_message(family, n: int) -> str:
+    """The refusal of the first bad mask in the order the family iterates, from the guards' definitions."""
+    for m in family:
+        if isinstance(m, bool) or not isinstance(m, int):
+            return f"set mask must be an integer, got {m!r}"
+        if m < 0:
+            return f"set mask must be at least 0, got {m}"
+        if m >> n:
+            return f"set {tuple(e + 1 for e in range(m.bit_length()) if m >> e & 1)} exceeds the ground set [1, {n}]"
+    raise AssertionError("no bad mask")
+
+
+@pytest.mark.parametrize("bad", [[True], [2.5], ["7"], [-3], [1 << 9], [True, -3, 2.5, 1 << 9, "7", -1 << 70]],
+                         ids=["bool", "float", "string", "negative", "oversized", "several"])
+def test_poset_refuses_the_first_bad_mask_in_its_walk(bad):
+    # every subfamily of the bad masks beside good ones, so each order the walk meets them in is tried
+    for k in range(1, len(bad) + 1):
+        for chosen in combinations(bad, k):
+            family = frozenset((3, 6, *chosen))
+            with pytest.raises(DomainError) as caught:
+                Poset(3, family)
+            assert str(caught.value) == _first_bad_mask_message(family, 3), family
+    # the ground size, then emptiness, come before any mask
+    with pytest.raises(DomainError, match="^ground size must lie in"):
+        Poset(0, frozenset(bad))
+    with pytest.raises(DomainError, match="^family must be nonempty$"):
+        Poset(3, ())
 
 
 @pytest.mark.parametrize(
@@ -602,10 +632,26 @@ def _forced_bottom_bound(family) -> int:
 
 
 def test_sdepth_bruteforce_matches_memo_oracle_on_every_family_over_four():
+    # beside the search, the level counts the Poset takes in its own pass: the level sequence and
+    # poset_qdepth match a FiniteSequence built publicly from the popcount levels, and its depth oracle
+    sizes = [bin(m).count("1") for m in range(16)]
+    public = {}  # level vector -> (FiniteSequence, oracle depth); at most 2 * 5 * 7 * 5 * 2 = 700 of them
     for f in range(1, 1 << 16):
         sets = [m for m in range(16) if f >> m & 1]
-        result = sdepth_bruteforce(Poset(4, frozenset(sets)))
+        poset = Poset(4, frozenset(sets))
+        result = sdepth_bruteforce(poset)
         assert (result.sdepth, result.partition.intervals) == oracle_sdepth_search(sets), sets
+        levels = [0] * 5
+        for m in sets:
+            levels[sizes[m]] += 1
+        key = tuple(levels)
+        if key not in public:
+            h = FiniteSequence(0, levels)
+            public[key] = h, oracle_qdepth(h)
+        h, depth = public[key]
+        assert poset.level_sequence() == h, sets
+        assert poset_qdepth(poset).qdepth == depth, sets
+    assert len(public) == 699  # every vector but the empty family's
 
 
 # the ids give where the least, over the sets, of their largest superset's size would start the search

@@ -99,6 +99,38 @@ def test_record_classes_compile_on_first_construction():
     assert after == ["FiniteSequence", "SequenceStats"]
 
 
+def test_records_built_without_their_checks_are_values_from_a_cold_start():
+    # the search's partition and result and a poset's level sequence come first, by the library's own path,
+    # before any public construction of their classes compiles them
+    code = (
+        "import copy, json, pickle\n"
+        "from qdepth import posets, sequences\n"
+        "poset = posets.Poset(3, frozenset({1, 2, 3, 5, 6, 7}))\n"
+        "result = posets.sdepth_bruteforce(poset)\n"
+        "levels = poset.level_sequence()\n"
+        "cold = [result, result.partition, levels]\n"
+        "compiled = sorted(type(r).__name__ for r in cold if '_init' in type(r).__dict__)\n"
+        "partition = posets.IntervalPartition(poset, result.partition.intervals)\n"
+        "public = [posets.SdepthResult(result.sdepth, partition), partition, sequences.FiniteSequence(0, [0, 2, 3, 1])]\n"
+        "checks = []\n"
+        "for r, p in zip(cold, public):\n"
+        "    twins = [pickle.loads(pickle.dumps(r)), copy.copy(r), copy.deepcopy(r)]\n"
+        "    checks.append([type(r) is type(p), r == p, p == r, hash(r) == hash(p), repr(r) == repr(p),\n"
+        "                   pickle.dumps(r) == pickle.dumps(p), all(t == p and hash(t) == hash(p) for t in twins)])\n"
+        "    try:\n"
+        "        setattr(r, r._fields[0], 0)\n"
+        "    except AttributeError:\n"
+        "        checks[-1].append(True)\n"
+        "print(json.dumps([compiled, checks, levels.stats() == public[2].stats()]))"
+    )
+    p = _fresh("-c", code)
+    assert p.returncode == 0, p.stderr
+    compiled, checks, same_stats = json.loads(p.stdout)
+    assert compiled == ["FiniteSequence", "IntervalPartition", "SdepthResult"]
+    assert checks == [[True] * 8] * 3
+    assert same_stats
+
+
 def test_package_import_loads_no_submodule():
     loaded = _loaded_by("import qdepth")
     assert "qdepth" in loaded
