@@ -18,8 +18,9 @@ import gc
 import json
 import sys
 
+from . import sequences
 from .errors import DomainError, SchemaError
-from .sequences import DEFAULT_BRUTEFORCE_CAP, ENTRY_BUDGET, GeometricSequence, Sequence, beta_table
+from .sequences import DEFAULT_BRUTEFORCE_CAP, GeometricSequence, Sequence, beta_table
 from .sequences import sequence_from_json_dict
 
 # engine, posets, closed_forms and csv are imported by the commands that use them
@@ -161,8 +162,8 @@ def cmd_sweep(args, out) -> None:
     a_range = _parse_range(args.a_range, "a-range")
     b_range = _parse_range(args.b_range, "b-range")
     points = (a_range.stop - a_range.start) * (b_range.stop - b_range.start)  # len() overflows past sys.maxsize
-    if points > ENTRY_BUDGET:
-        raise DomainError(f"sweep grid has {points} points, over the budget of {ENTRY_BUDGET}")
+    if points > sequences.ENTRY_BUDGET:
+        raise DomainError(f"sweep grid has {points} points, over the budget of {sequences.ENTRY_BUDGET}")
     rows = []
     for a in a_range:
         for b in b_range:

@@ -1,26 +1,18 @@
 """Exact computation of the depth invariant with certificates.
 
 The depth of a sequence h is the largest d such that every transform value
-at d is non-negative.  It always lies between the support start k0 and
-min(kf, k0 + c), so the search space is finite even for infinite tails.
-
-The depth is monotone in d: the rows of the transform satisfy
-row[d][k] = sum over j <= k of row[d+1][j], so a non-negative row d+1
-forces a non-negative row d.  A geometric tail reads one row, at
-top = min(bound, k0 + ENTRY_SPAN), from its generating function, in
-O(top - k0) entries; when that row is non-negative it certifies every
-row below it.  Every other kind scans upward from k0 and stops at the
-first row with a negative entry, in O((answer - k0)^2) entries, so its
-cost follows the answer, not the a-priori bound.  The result carries the
-accepted table and the DepthCheck of the row where the scan stopped,
-whose first negative entry rules out every larger candidate.
+at d is non-negative.  It always lies between the support start k0 and the
+a-priori bound min(kf, k0 + c), so the search space is finite even for
+infinite tails.  The depth is monotone in d: the rows of the transform
+satisfy row[d][k] = sum over j <= k of row[d+1][j], so a non-negative row
+d+1 forces a non-negative row d.  qdepth states how the search uses this.
 """
 
 from itertools import pairwise
 
-from .errors import DomainError
+from . import sequences
 from .records import Record
-from .sequences import ENTRY_SPAN, BetaTable, GeometricSequence, Sequence, beta_rows, beta_table, binomial
+from .sequences import BetaTable, GeometricSequence, Sequence, beta_rows, beta_table, binomial
 from .sequences import _first_negative, _row_length
 from .sequences import beta  # unused here, but the benchmark's tracer rebinds engine.beta
 
@@ -71,40 +63,35 @@ def depth_upper_bound(h: Sequence) -> int:
 
 
 def qdepth(h: Sequence) -> QDepthResult:
-    """Depth of h, from one row for a geometric tail and an upward scan otherwise.
+    """Depth of h: the bound for a geometric tail, else the row before the first negative one.
 
-    Both stop at top = min(bound, k0 + ENTRY_SPAN), the bound being the
-    a-priori cap min(kf, k0 + c).  Each row holds the prefix sums of the
-    next, so a non-negative row certifies every row below it.  A geometric
-    tail reads row top alone (GeometricSequence.row), in O(top - k0)
-    entries, and answers top when it is non-negative.  Other kinds, and a
-    geometric row with a negative entry, scan from k0 in O((answer - k0)^2)
-    entries: the answer is the row before the first negative one, kept with
-    that row's DepthCheck as the witness, or top when none is negative.
-    The row at k0 is h(k0) alone, so the answer is never below k0.
-    DomainError is raised when the answer is top but the bound lies
-    further: before any row is built for a geometric tail.
+    The paper proves that a geometric tail's depth is its bound, so its
+    answer is row `bound` (GeometricSequence.row), in O(bound - k0)
+    entries, with no witness.  Other kinds scan upward from k0 and stop at
+    the first row with a negative entry, in O((answer - k0)^2) entries: the
+    answer is the row before it, kept with that row's DepthCheck as the
+    witness, whose first negative entry rules out every larger candidate.
+    The row at k0 is h(k0) alone, so the answer is never below k0.  The
+    scan stops at top = min(bound, k0 + sequences.ENTRY_SPAN).  A bound
+    past that span is refused with DomainError: for a geometric tail before
+    any row is built, for other kinds when no row up to top is negative.
     """
     ub = depth_upper_bound(h)
     k0 = h.stats().k0
-    top = min(ub, k0 + ENTRY_SPAN)
-    witness = None
-    # a geometric depth is the bound (the ratio): past top it is refused below, else its row is checked
-    if isinstance(h, GeometricSequence) and top < ub:
-        q = top
-    elif isinstance(h, GeometricSequence) and min(row := h.row(top)) >= 0:
-        q, accepted = top, dict(zip(range(k0, top + 1), row))
+    top = min(ub, k0 + sequences.ENTRY_SPAN)
+    if isinstance(h, GeometricSequence):
+        if top == ub:
+            return QDepthResult(ub, BetaTable(ub, dict(zip(range(k0, ub + 1), h.row(ub))), None), ub, None)
     else:
         for d, row in beta_rows(h, top):
             if min(row.values()) < 0:
                 k = _first_negative(row)
-                witness = DepthCheck(d, False, k, row[k])
-                break
-            q, accepted = d, row
-    if q == top < ub:
-        raise DomainError(f"no negative row up to d={top}, and the bound d={ub} lies more than {ENTRY_SPAN} "
-                          f"above the support start {k0}")
-    return QDepthResult(q, BetaTable(q, accepted, None), ub, witness)
+                return QDepthResult(d - 1, BetaTable(d - 1, accepted, None), ub, DepthCheck(d, False, k, row[k]))
+            accepted = row
+        if top == ub:
+            return QDepthResult(ub, BetaTable(ub, accepted, None), ub, None)
+    # top < ub, and no row up to top was negative (a geometric tail built none): this raises
+    _row_length(h, ub, f"no negative row up to d={top}, and the bound d={{}}")
 
 
 def qdepth_value(h: Sequence) -> int:

@@ -18,7 +18,7 @@ import qdepth
 
 from .errors import DomainError, SchemaError
 from .records import Record
-from .sequences import DEFAULT_BRUTEFORCE_CAP, ENTRY_BUDGET, FiniteSequence, Sequence, _int, _trimmed
+from .sequences import DEFAULT_BRUTEFORCE_CAP, FiniteSequence, Sequence, _int, _trimmed
 
 MAX_GROUND_SIZE = 63
 
@@ -84,8 +84,8 @@ class Poset(Record):
 
     @classmethod
     def from_iterables(cls, n: int, families: Iterable[Iterable[int]]) -> "Poset":
-        # n is checked before each mask is built, so a huge n cannot build a huge mask
-        return cls(n, frozenset(mask_from_elements(f, _ground_size(n)) for f in families))
+        n = _ground_size(n)  # before the first mask is built, so a huge n cannot build a huge mask
+        return cls(n, frozenset(mask_from_elements(f, n) for f in families))
 
     def level_counts(self) -> dict:
         return {k: v for k, v in enumerate(self._levels) if v}
@@ -183,7 +183,7 @@ def validate_partition(partition: IntervalPartition) -> ValidationReport:
     family = target.sets
     read = len(family) + 1  # by then an interval must hold a set outside the family
     total = len(singles) + sum(min(1 << (d ^ c).bit_count(), read) for c, d in wide)
-    budget = max(len(family), ENTRY_BUDGET)
+    budget = max(len(family), qdepth.sequences.ENTRY_BUDGET)
     if total > budget:
         raise DomainError(f"intervals hold at least {total} members, over the budget of {budget}")
 
@@ -466,9 +466,9 @@ def realize(h: Sequence) -> RealizationResult:
         raise DomainError(
             f"realization needs {need} ground elements, beyond the {MAX_GROUND_SIZE} cap"
         )
-    members = sum(counts.values())
-    if members > ENTRY_BUDGET:
-        raise DomainError(f"realization needs {members} family members, over the budget of {ENTRY_BUDGET}")
+    members, budget = sum(counts.values()), qdepth.sequences.ENTRY_BUDGET
+    if members > budget:
+        raise DomainError(f"realization needs {members} family members, over the budget of {budget}")
 
     all_intervals = _block_intervals(d, b) + _fresh_level_singletons(upper_counts, used, pool_size)
     poset = Poset(ground_size, frozenset(chain.from_iterable(starmap(interval_members, all_intervals))))

@@ -59,24 +59,16 @@ class Sequence(Record):
     support stats there once, outside the fields.  A subclass's kind name
     (a class attribute) and its fields are its JSON schema: to_json_dict
     writes them and sequence_from_json_dict reads them back.  support_end
-    is the last index with a positive value, or None for a tail.
+    is the last index with a positive value, or None for a tail.  Each kind
+    defines value_at(j), the value h(j); shifted(m), the sequence
+    j -> h(m + j); and scaled(c), the sequence j -> c * h(j) for a positive
+    integer c.
     """
 
     support_end = None
 
-    def value_at(self, j: int) -> int:
-        raise NotImplementedError
-
     def stats(self) -> SequenceStats:
         return self._stats
-
-    def shifted(self, m: int) -> "Sequence":
-        """The sequence j -> self(m + j)."""
-        raise NotImplementedError
-
-    def scaled(self, c: int) -> "Sequence":
-        """The sequence j -> c * self(j), for a positive integer c."""
-        raise NotImplementedError
 
     def iter_values(self, hi: int) -> Iterator[int]:
         """h(k0), h(k0 + 1), ..., h(hi) in order, computed lazily, for hi >= k0."""

@@ -9,7 +9,10 @@ import time
 import pytest
 
 from golden_cli import FAMILY, PARTITION, UNCOVERED
-from qdepth import cli, engine
+from qdepth import (
+    DomainError, FiniteSequence, IntervalPartition, PolynomialSequence, Poset, beta, realize, validate_partition,
+)
+from qdepth import cli, engine, sequences
 from qdepth.cli import main
 
 WORKED_SEQ = '{"kind":"finite","offset":-2,"values":[2,4,7,3,1]}'
@@ -130,11 +133,26 @@ def test_sweep_refuses_a_grid_over_the_budget_before_the_first_point(capsys, mon
         assert json.loads(err) == {"code": "domain", "message": message}
         assert not out_path.exists()
     monkeypatch.undo()
-    monkeypatch.setattr(cli, "ENTRY_BUDGET", 6)
+    monkeypatch.setattr(sequences, "ENTRY_BUDGET", 6)
     code, out, _ = run_cli(capsys, "sweep", "--family", "geometric", "--a-range", "1:2", "--b-range", "2:4")
     assert code == 0 and len(out.splitlines()) == 7
     code, _, err = run_cli(capsys, "sweep", "--family", "geometric", "--a-range", "1:7", "--b-range", "2:2")
     assert code == 3 and "sweep grid has 7 points, over the budget of 6" in err
+
+
+def test_one_budget_setting_moves_every_budget_check(capsys, monkeypatch):
+    # sequences.ENTRY_BUDGET is read at call time by posets, the CLI and beta: no module keeps its own copy
+    monkeypatch.setattr(sequences, "ENTRY_BUDGET", 5)
+    family = Poset.from_iterables(2, [[], [1], [2], [1, 2]])
+    assert validate_partition(IntervalPartition(family, ((0, 3), (0, 0)))).reason.endswith("overlap")
+    with pytest.raises(DomainError, match="^intervals hold at least 8 members, over the budget of 5$"):
+        validate_partition(IntervalPartition(family, ((0, 3), (0, 3))))
+    with pytest.raises(DomainError, match="^realization needs 8 family members, over the budget of 5$"):
+        realize(FiniteSequence(1, [1, 3, 3, 1]))
+    code, _, err = run_cli(capsys, "sweep", "--family", "geometric", "--a-range", "1:6", "--b-range", "2:2")
+    assert (code, json.loads(err)["message"]) == (3, "sweep grid has 6 points, over the budget of 5")
+    with pytest.raises(DomainError, match="^transform at k=5, d=7 sums 6 terms, over the budget of 5$"):
+        beta(PolynomialSequence([1, 1]), 5, 7)
 
 
 def test_realize_round_trip(capsys, tmp_path):
@@ -330,7 +348,7 @@ def test_beta_table_over_budget_exits_3(capsys):
 
 
 def test_qdepth_search_past_the_span_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr("qdepth.engine.ENTRY_SPAN", 10)
+    monkeypatch.setattr(sequences, "ENTRY_SPAN", 10)
     seq = '{"kind":"geometric","scale":1,"ratio":1000000}'
     code, out, err = run_cli(capsys, "qdepth", "--seq", seq)
     assert (code, out) == (3, "")

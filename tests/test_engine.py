@@ -8,7 +8,9 @@ import time
 
 import pytest
 
-from helpers import growth_sequence, oracle_qdepth, pascal_binomial, random_finite, random_sequence, values_dict
+from helpers import (
+    growth_sequence, oracle_beta, oracle_qdepth, pascal_binomial, random_finite, random_sequence, values_dict,
+)
 from qdepth import (
     DomainError,
     FiniteSequence,
@@ -407,7 +409,7 @@ def test_result_value_semantics_do_not_force_rejections(row_counter):
 
 
 def test_search_span_is_the_largest_within_the_entry_budget():
-    span, budget = engine.ENTRY_SPAN, sequences.ENTRY_BUDGET
+    span, budget = sequences.ENTRY_SPAN, sequences.ENTRY_BUDGET
     assert span == 1998
     assert (span + 1) * (span + 2) // 2 <= budget < (span + 2) * (span + 3) // 2
 
@@ -417,43 +419,47 @@ def test_search_builds_at_most_span_plus_one_rows(row_counter):
     h = FiniteSequence(0, [math.comb(3000, k) for k in range(3001)])
     with pytest.raises(DomainError, match="no negative row up to d=1998, and the bound d=3000"):
         qdepth(h)
-    assert row_counter == {"calls": 1, "rows": engine.ENTRY_SPAN + 1}
+    assert row_counter == {"calls": 1, "rows": sequences.ENTRY_SPAN + 1}
 
 
 def test_search_span_caps_only_unresolved_searches(monkeypatch, row_counter, geometric_rows):
-    monkeypatch.setattr(engine, "ENTRY_SPAN", 10)
+    # sequences.ENTRY_SPAN alone moves top and both refusals, each naming the span it read
+    monkeypatch.setattr(sequences, "ENTRY_SPAN", 10)
     for shift in (-2, 0, 3):
         assert qdepth_value(GeometricSequence(1, 10, shift)) == 10 - shift
         geometric_rows.clear()
-        with pytest.raises(DomainError, match=f"up to d={10 - shift}, and the bound d={11 - shift}"):
+        bound = f"the bound d={11 - shift} lies more than 10 above the support start {-shift}"
+        message = f"^no negative row up to d={10 - shift}, and {bound}$"
+        with pytest.raises(DomainError, match=message):
             qdepth(GeometricSequence(1, 11, shift))
         assert (row_counter["calls"], geometric_rows) == (0, [])
     # other kinds still scan every row up to the span
     h = FiniteSequence(0, [math.comb(12, k) for k in range(13)])
-    with pytest.raises(DomainError, match="up to d=10, and the bound d=12"):
+    with pytest.raises(DomainError, match="^no negative row up to d=10, and the bound d=12 lies more than 10 above the "
+                                          "support start 0$"):
         qdepth(h)
     assert row_counter == {"calls": 1, "rows": 11}
     assert qdepth_value(PolynomialSequence([1, 10**6])) == 3
     assert row_counter == {"calls": 2, "rows": 11 + 5}  # answer 3: rows 0..4
 
 
-def test_geometric_row_with_a_negative_entry_falls_back_to_the_scan(monkeypatch, row_counter):
-    tails = (GeometricSequence(2, 7), GeometricSequence(3, 12, -4), GeometricSequence(1, 1, 2))
-    expected = [qdepth(h) for h in tails]
-    original = GeometricSequence.row
-
-    def with_a_negative_entry(self, d):
-        row = original(self, d)
-        row[-1] = -1
-        return row
-
-    monkeypatch.setattr(GeometricSequence, "row", with_a_negative_entry)
-    for h, want in zip(tails, expected):
-        row_counter["calls"] = 0
-        result = qdepth(h)
-        assert result.qdepth == oracle_qdepth(h)
-        assert result == want
-        assert row_counter["calls"] == 1
+def test_geometric_depth_is_its_bound_read_from_one_row(monkeypatch):
+    # the paper proves that a * b^j has depth b, its a-priori bound: the engine reads that row alone, with no scan
+    monkeypatch.setattr(engine, "beta_rows", lambda h, up_to: pytest.fail("a geometric tail was scanned"))
+    rng = random.Random(30)
+    for ratio in range(1, 301):
+        for scale in (1, 2, 7):
+            for shift in (-3, 0, 4):
+                h = GeometricSequence(scale, ratio, shift)
+                result = qdepth(h)
+                d = ratio - shift
+                assert (result.qdepth, result.upper_bound_used, result.witness) == (d, d, None)
+                table = result.accepted_table
+                assert (table.d, list(table.entries), table.first_negative) == (d, list(range(-shift, d + 1)), None)
+                assert min(table.entries.values()) >= 0
+                if ratio <= 12 or rng.random() < 0.01:
+                    values = values_dict(h, -shift, d)
+                    assert table.entries == {k: oracle_beta(values, k, d) for k in range(-shift, d + 1)}
 
 
 def test_geometric_refusal_past_the_span_is_fast():
@@ -474,10 +480,10 @@ def test_geometric_bound_past_the_span_is_refused_without_a_row(geometric_rows):
 
 def test_geometric_row_past_the_span_is_refused_before_it_is_built():
     h = GeometricSequence(1, 1, 3)  # k0 = -3
-    assert len(h.row(-3 + engine.ENTRY_SPAN)) == engine.ENTRY_SPAN + 1
+    assert len(h.row(-3 + sequences.ENTRY_SPAN)) == sequences.ENTRY_SPAN + 1
     start = time.perf_counter()
     with pytest.raises(DomainError, match="row at d=1996 lies more than 1998 above the support start -3"):
-        h.row(-3 + engine.ENTRY_SPAN + 1)
+        h.row(-3 + sequences.ENTRY_SPAN + 1)
     with pytest.raises(DomainError, match="row at d=100000 lies more than 1998"):
         h.row(10**5)
     assert time.perf_counter() - start < 0.01

@@ -36,7 +36,7 @@ from qdepth import (
     sdepth_bruteforce,
     validate_partition,
 )
-from qdepth import posets
+from qdepth import posets, sequences
 
 WORKED_FAMILY = [
     [1], [2], [1, 2], [1, 3], [2, 3], [1, 4],
@@ -439,13 +439,13 @@ def test_validate_partition_refuses_over_budget_before_reading_a_member(monkeypa
         validate_partition(IntervalPartition(big, ((0, (1 << 40) - 1),) * 2000))
     monkeypatch.setattr(posets, "interval_members", real)
     # at the budget the overlap is named, one interval past it the call is refused
-    monkeypatch.setattr(posets, "ENTRY_BUDGET", 2 << 12)
+    monkeypatch.setattr(sequences, "ENTRY_BUDGET", 2 << 12)
     report = validate_partition(IntervalPartition(poset, (whole,) * 2))
     assert report.reason == "intervals [{},{1,2,3,4,5,6,7,8,9,10,11,12}] and [{},{1,2,3,4,5,6,7,8,9,10,11,12}] overlap"
     with pytest.raises(DomainError, match="at least 12288 members, over the budget of 8192"):
         validate_partition(IntervalPartition(poset, (whole,) * 3))
     # a valid partition holds exactly len(family) members, so no budget refuses it
-    monkeypatch.setattr(posets, "ENTRY_BUDGET", 1)
+    monkeypatch.setattr(sequences, "ENTRY_BUDGET", 1)
     assert validate_partition(IntervalPartition(poset, (whole,))).ok
     assert validate_partition(IntervalPartition(poset, tuple((m, m) for m in range(1 << 12)))).ok
     with pytest.raises(DomainError, match="at least 4097 members, over the budget of 4096"):
@@ -593,7 +593,8 @@ def test_sdepth_bruteforce_matches_memo_oracle():
     rng = random.Random(157)
     every_over_3 = [(3, [m for m in range(8) if f >> m & 1]) for f in range(1, 256)]
     hard = [(6, [m for m in range(64) if m.bit_count() >= k]) for k in (1, 2, 3)]
-    for n, sets in [*every_over_3, *_families(rng, 4, 2000), *_families(rng, 5, 150), *hard]:
+    # every family over [4] is checked against the same oracle in the census test below
+    for n, sets in [*every_over_3, *_families(rng, 5, 150), *hard]:
         result = sdepth_bruteforce(Poset(n, frozenset(sets)), cap=len(sets))
         assert (result.sdepth, result.partition.intervals) == oracle_sdepth_search(sets), sets
         if n == 3:
@@ -631,16 +632,14 @@ def _forced_bottom_bound(family) -> int:
     return min(max(d.bit_count() for d in family if c & ~d == 0 and whole(c, d)) for c in minimal)
 
 
-def test_sdepth_bruteforce_matches_memo_oracle_on_every_family_over_four():
+def test_sdepth_bruteforce_matches_memo_oracle_on_every_family_over_four(census_over_four):
     # beside the search, the level counts the Poset takes in its own pass: the level sequence and
     # poset_qdepth match a FiniteSequence built publicly from the popcount levels, and its depth oracle
     sizes = [bin(m).count("1") for m in range(16)]
     public = {}  # level vector -> (FiniteSequence, oracle depth); at most 2 * 5 * 7 * 5 * 2 = 700 of them
-    for f in range(1, 1 << 16):
-        sets = [m for m in range(16) if f >> m & 1]
-        poset = Poset(4, frozenset(sets))
-        result = sdepth_bruteforce(poset)
-        assert (result.sdepth, result.partition.intervals) == oracle_sdepth_search(sets), sets
+    assert len(census_over_four) == (1 << 16) - 1
+    for sets, sdepth, intervals, poset_depth in census_over_four:
+        assert (sdepth, intervals) == oracle_sdepth_search(sets), sets
         levels = [0] * 5
         for m in sets:
             levels[sizes[m]] += 1
@@ -649,8 +648,8 @@ def test_sdepth_bruteforce_matches_memo_oracle_on_every_family_over_four():
             h = FiniteSequence(0, levels)
             public[key] = h, oracle_qdepth(h)
         h, depth = public[key]
-        assert poset.level_sequence() == h, sets
-        assert poset_qdepth(poset).qdepth == depth, sets
+        assert Poset(4, frozenset(sets)).level_sequence() == h, sets
+        assert poset_depth == depth, sets
     assert len(public) == 699  # every vector but the empty family's
 
 
@@ -830,12 +829,12 @@ def test_realize_refuses_a_family_over_the_budget_before_building_a_set():
 
 
 def test_realize_family_budget_admits_a_family_at_the_budget(monkeypatch):
-    monkeypatch.setattr(posets, "ENTRY_BUDGET", 8)
+    monkeypatch.setattr(sequences, "ENTRY_BUDGET", 8)
     assert len(realize(FiniteSequence(1, [1, 3, 3, 1])).poset) == 8
     with pytest.raises(DomainError, match="^realization needs 9 family members, over the budget of 8$"):
         realize(FiniteSequence(1, [1, 3, 3, 2]))
     # the ground check comes first, so its message stays
-    monkeypatch.setattr(posets, "ENTRY_BUDGET", 1)
+    monkeypatch.setattr(sequences, "ENTRY_BUDGET", 1)
     with pytest.raises(DomainError, match="beyond the 63 cap"):
         realize(FiniteSequence(1, [1, 10**9]))
 
