@@ -72,13 +72,13 @@ def qdepth(h: Sequence) -> QDepthResult:
     answer is the row before it, kept with that row's DepthCheck as the
     witness, whose first negative entry rules out every larger candidate.
     The row at k0 is h(k0) alone, so the answer is never below k0.  The
-    scan stops at top = min(bound, k0 + sequences.ENTRY_SPAN).  A bound
+    scan stops at top = min(bound, k0 + sequences.entry_span()).  A bound
     past that span is refused with DomainError: for a geometric tail before
     any row is built, for other kinds when no row up to top is negative.
     """
     ub = depth_upper_bound(h)
     k0 = h.stats().k0
-    top = min(ub, k0 + sequences.ENTRY_SPAN)
+    top = min(ub, k0 + sequences.entry_span())
     if isinstance(h, GeometricSequence):
         if top == ub:
             return QDepthResult(ub, BetaTable(ub, dict(zip(range(k0, ub + 1), h.row(ub))), None), ub, None)
@@ -110,7 +110,7 @@ def necessary_condition_holds(h: Sequence, d: int) -> bool:
     """Binomial lower bound on the values, implied by depth >= d.
 
     Requires h(k) >= binomial(d - k0, k - k0) * h(k0) on [k0, d].  Both
-    side tests refuse a d below k0 or more than ENTRY_SPAN above it with
+    side tests refuse a d below k0 or more than entry_span() above it with
     DomainError before reading any value.
     """
     st = h.stats()

@@ -10,7 +10,7 @@ counts together with a partition certifying that both depths coincide.
 import math
 from bisect import bisect_left
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence as SequenceABC
+from collections.abc import Iterable
 from itertools import chain, combinations, islice, starmap
 from operator import itemgetter
 
@@ -21,8 +21,6 @@ from .records import Record
 from .sequences import DEFAULT_BRUTEFORCE_CAP, FiniteSequence, Sequence, _int, _trimmed
 
 MAX_GROUND_SIZE = 63
-
-Interval = tuple[int, int]
 
 
 def mask_from_elements(elements: Iterable[int], n: int) -> int:
@@ -84,8 +82,15 @@ class Poset(Record):
 
     @classmethod
     def from_iterables(cls, n: int, families: Iterable[Iterable[int]]) -> "Poset":
+        """The family of the listed element sets; a set listed twice is refused, not folded into one member."""
         n = _ground_size(n)  # before the first mask is built, so a huge n cannot build a huge mask
-        return cls(n, frozenset(mask_from_elements(f, n) for f in families))
+        sets = set()
+        for f in families:
+            mask = mask_from_elements(f, n)
+            if mask in sets:
+                raise DomainError(f"set {elements_from_mask(mask)} is listed twice")
+            sets.add(mask)
+        return cls(n, frozenset(sets))
 
     def level_counts(self) -> dict:
         return {k: v for k, v in enumerate(self._levels) if v}
@@ -391,63 +396,23 @@ class RealizationResult(Record):
         }
 
 
-def _block_intervals(d: int, b: SequenceABC) -> list[Interval]:
-    """One fresh block of d elements per interval; bottoms are block prefixes."""
-    intervals = []
-    base = 0
-    for j in range(1, d + 1):
-        for _ in range(b[j - 1]):
-            top = ((1 << d) - 1) << base
-            bottom = ((1 << j) - 1) << base
-            intervals.append((bottom, top))
-            base += d
-    return intervals
-
-
-def _pool_holds(counts: Mapping[int, int], size: int) -> bool:
-    """Whether size elements have counts[k] distinct k-sets for every level k."""
-    return all(math.comb(size, k) >= c for k, c in counts.items())
-
-
-def _pool_size(counts: Mapping[int, int], room: int) -> int:
-    """Smallest pool of fresh elements for the one-set intervals of counts.
-
-    The search stops once the pool outgrows room, so the size returned
-    is exact only when it fits.
-    """
-    size = max((k for k, c in counts.items() if c), default=0)
-    while size <= room and not _pool_holds(counts, size):
-        size += 1
-    return size
-
-
-def _fresh_level_singletons(counts: Mapping[int, int], base: int, pool_size: int) -> list[Interval]:
-    """Distinct sets of prescribed sizes over the pool_size elements after base.
-
-    They come back as one-set intervals.  A single shared pool suffices
-    because sets of different sizes never coincide.
-    """
-    bits = [1 << e for e in range(base, base + pool_size)]  # elements base + 1 .. base + pool_size
-    masks = chain.from_iterable(map(sum, islice(combinations(bits, k), counts[k])) for k in sorted(counts))
-    return [(mask, mask) for mask in masks]
-
-
 def realize(h: Sequence) -> RealizationResult:
     """Build a family whose level counts match h after shifting, with a
     partition whose depth equals the family depth.
 
     The input is shifted by m = k0 - 1 so the window starts at level 1.
-    Levels 1..d are covered by intervals with tops of size d, b[j] of them
-    with bottoms of size j, each on its own block of d fresh elements; for
-    finitely supported input, every level above d is filled with one-set
-    intervals over a shared pool of fresh elements, so the whole support is
-    realized.  The ground size and the family size (the sum of the level
-    counts) are known before any set is built, and inputs needing more than
-    MAX_GROUND_SIZE elements, or then more than ENTRY_BUDGET members, are
-    rejected up front.  The intervals are disjoint by construction; the
-    partition, the level counts and the partition depth are checked.  Level
-    counts equal to the shifted window give the family depth d without a
-    second depth search.
+    Levels 1..d are covered by sum(b) intervals on one ground: numbered
+    i = 0, 1, ... with their bottom sizes j ascending, interval i is the
+    window [{i+1..i+j}, {i+1..i+d}].  Windows share elements but no member:
+    interval i's bottom holds element i + 1, which no later top holds.  For
+    finitely supported input each level k above d, which no window reaches,
+    takes the first h(k) k-sets of the ground as one-set intervals.  The
+    ground, max(sum(b) + d - 1, the smallest n with C(n, k) >= h(k) above
+    d), and the family size are known before any set is built: a need of
+    more than MAX_GROUND_SIZE elements, or then of more than ENTRY_BUDGET
+    members, is refused up front.  The partition, the level counts and the
+    partition depth are checked; level counts equal to the shifted window
+    give the family depth d without a second depth search.
     """
     m = h.stats().k0 - 1
     g = h.shifted(m)
@@ -457,22 +422,25 @@ def realize(h: Sequence) -> RealizationResult:
 
     # the window 1..d, and a finite sequence's levels past it up to its support end (depth <= kf)
     counts = dict(enumerate(g.iter_values(d if g.support_end is None else g.support_end), 1))
-    upper_counts = {j: v for j, v in counts.items() if j > d}
-    used = d * sum(b)
-    pool_size = _pool_size(upper_counts, MAX_GROUND_SIZE - used)
-    ground_size = used + pool_size
+    upper = {k: c for k, c in counts.items() if k > d and c}
+    # the windows end at element sum(b) + d - 1; the smallest n past it holding every upper level, up to the cap + 1
+    ground_size = max(sum(b) + d - 1, max(upper, default=0))
+    while ground_size <= MAX_GROUND_SIZE + 1 and any(math.comb(ground_size, k) < c for k, c in upper.items()):
+        ground_size += 1
     if ground_size > MAX_GROUND_SIZE:
-        need = ground_size if _pool_holds(upper_counts, pool_size) else f"more than {MAX_GROUND_SIZE}"
-        raise DomainError(
-            f"realization needs {need} ground elements, beyond the {MAX_GROUND_SIZE} cap"
-        )
+        need = ground_size if ground_size == MAX_GROUND_SIZE + 1 or not upper else f"more than {MAX_GROUND_SIZE}"
+        raise DomainError(f"realization needs {need} ground elements, beyond the {MAX_GROUND_SIZE} cap")
     members, budget = sum(counts.values()), qdepth.sequences.ENTRY_BUDGET
     if members > budget:
         raise DomainError(f"realization needs {members} family members, over the budget of {budget}")
 
-    all_intervals = _block_intervals(d, b) + _fresh_level_singletons(upper_counts, used, pool_size)
-    poset = Poset(ground_size, frozenset(chain.from_iterable(starmap(interval_members, all_intervals))))
-    partition = IntervalPartition(poset, all_intervals)
+    bottoms = [(1 << j) - 1 for j, count in enumerate(b, 1) for _ in range(count)]  # sizes ascending
+    top = (1 << d) - 1
+    intervals = [(bottom << i, top << i) for i, bottom in enumerate(bottoms)]
+    bits = [1 << e for e in range(ground_size)]
+    intervals += [(s, s) for k, c in upper.items() for s in map(sum, islice(combinations(bits, k), c))]
+    poset = Poset(ground_size, frozenset(chain.from_iterable(starmap(interval_members, intervals))))
+    partition = IntervalPartition(poset, intervals)
     report = validate_partition(partition)
 
     if not report.ok:

@@ -20,11 +20,10 @@ from operator import mul
 from .errors import DomainError, SchemaError
 from .records import Record
 
-# Every row, table and candidate depth d obeys d - k0 <= ENTRY_SPAN = 1998, so rows k0..d hold at most
+# Every row, table and candidate depth d obeys d - k0 <= entry_span() = 1998, so rows k0..d hold at most
 # ENTRY_BUDGET entries; the largest scans take about a second on a 2-core Xeon VM under CPython 3.11 and
 # keep one row in memory.  ENTRY_BUDGET itself bounds counts that are not rows: members, points, terms.
 ENTRY_BUDGET = 2_000_000
-ENTRY_SPAN = (math.isqrt(8 * ENTRY_BUDGET + 1) - 3) // 2
 # Largest family posets.sdepth_bruteforce searches by default.  It is kept
 # here so that the command line can show it without importing posets.
 DEFAULT_BRUTEFORCE_CAP = 24
@@ -255,11 +254,16 @@ class GeometricSequence(Sequence):
         return GeometricSequence(c * self.scale, self.ratio, self.shift)
 
 
+def entry_span() -> int:
+    """The largest D with (D + 1)(D + 2) / 2 <= ENTRY_BUDGET: rows k0..k0 + D fit the budget, read at each call."""
+    return (math.isqrt(8 * ENTRY_BUDGET + 1) - 3) // 2
+
+
 def _row_length(h: Sequence, d: int, what: str = "row at d={}") -> int:
-    """D + 1 = d - k0 + 1, the length of row d, after refusing a d below k0 or past k0 + ENTRY_SPAN."""
-    span = _span(h, d, what)
-    if span > ENTRY_SPAN:
-        raise DomainError(f"{what.format(d)} lies more than {ENTRY_SPAN} above the support start {d - span}")
+    """D + 1 = d - k0 + 1, the length of row d, after refusing a d below k0 or past k0 + entry_span()."""
+    span, limit = _span(h, d, what), entry_span()
+    if span > limit:
+        raise DomainError(f"{what.format(d)} lies more than {limit} above the support start {d - span}")
     return span + 1
 
 
@@ -321,14 +325,15 @@ def beta(h: Sequence, k: int, d: int) -> int:
     This is the signed sum over j of binomial(d - j, k - j) * h(j); terms
     outside the support vanish, so j runs over [k0, min(k, support end)].
     Before any term, DomainError refuses a call whose largest binomial,
-    C(d - k0, k - k0), may pass ENTRY_SPAN * bit_length(ENTRY_SPAN) = 21,978
-    bits by the bound min(d - k0, min(k - k0, d - k) * bit_length(d - k0)),
-    or that sums more than ENTRY_BUDGET terms.
+    C(d - k0, k - k0), may pass span * bit_length(span) = 21,978 bits
+    (span = entry_span()) by the bound min(d - k0, min(k - k0, d - k) *
+    bit_length(d - k0)), or that sums more than ENTRY_BUDGET terms.
     """
     if _int(k, "k") > _int(d, "d"):
         raise DomainError(f"transform requires k <= d, got k={k}, d={d}")
     k0 = h.stats().k0
-    bits, limit = min(d - k0, min(k - k0, d - k) * (d - k0).bit_length()), ENTRY_SPAN * ENTRY_SPAN.bit_length()
+    span = entry_span()
+    bits, limit = min(d - k0, min(k - k0, d - k) * (d - k0).bit_length()), span * span.bit_length()
     if bits > limit:
         raise DomainError(f"transform at k={k}, d={d} may need {bits}-bit binomials, over the limit of {limit}")
     end = k if h.support_end is None else min(k, h.support_end)
@@ -345,7 +350,7 @@ def beta_rows(h: Sequence, up_to: int) -> Iterator[tuple[int, dict]]:
     row[d+1][k] = row[d][k] - row[d][k-1], with the two boundary entries
     row[d+1][k0] = h(k0) and row[d+1][d+1] = h(d+1) - row[d][d].  At the
     first next(), before any row is built, DomainError refuses an up_to
-    below k0 or more than ENTRY_SPAN above it.
+    below k0 or more than entry_span() above it.
     The values come from one lazy h.iter_values(up_to), so a geometric
     tail pays one multiplication per row and a scan stopped after row d
     has read no value past h(d).
@@ -377,7 +382,7 @@ def beta_table(h: Sequence, d: int) -> BetaTable:
     """Full transform table at d, for d at or beyond the support start.
 
     Before any work, every kind gets the beta_rows refusal of a d below k0
-    or more than ENTRY_SPAN above it.  A polynomial tail's table is then
+    or more than entry_span() above it.  A polynomial tail's table is then
     its row (PolynomialSequence.row, from the generating function) when it
     reads L = min(degree, D) + 1 differences with L <= D / 10, D = d - k0: its
     L * D steps each cost about as much as five of the recurrence's

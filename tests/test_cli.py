@@ -133,8 +133,8 @@ def test_sweep_refuses_a_grid_over_the_budget_before_the_first_point(capsys, mon
         assert json.loads(err) == {"code": "domain", "message": message}
         assert not out_path.exists()
     monkeypatch.undo()
-    monkeypatch.setattr(sequences, "ENTRY_BUDGET", 6)
-    code, out, _ = run_cli(capsys, "sweep", "--family", "geometric", "--a-range", "1:2", "--b-range", "2:4")
+    monkeypatch.setattr(sequences, "ENTRY_BUDGET", 6)  # the entry span is then 2, enough for ratio 2
+    code, out, _ = run_cli(capsys, "sweep", "--family", "geometric", "--a-range", "1:6", "--b-range", "2:2")
     assert code == 0 and len(out.splitlines()) == 7
     code, _, err = run_cli(capsys, "sweep", "--family", "geometric", "--a-range", "1:7", "--b-range", "2:2")
     assert code == 3 and "sweep grid has 7 points, over the budget of 6" in err
@@ -148,11 +148,11 @@ def test_one_budget_setting_moves_every_budget_check(capsys, monkeypatch):
     with pytest.raises(DomainError, match="^intervals hold at least 8 members, over the budget of 5$"):
         validate_partition(IntervalPartition(family, ((0, 3), (0, 3))))
     with pytest.raises(DomainError, match="^realization needs 8 family members, over the budget of 5$"):
-        realize(FiniteSequence(1, [1, 3, 3, 1]))
+        realize(FiniteSequence(1, [8]))  # depth 1: the span of 1 that budget 5 leaves is enough
     code, _, err = run_cli(capsys, "sweep", "--family", "geometric", "--a-range", "1:6", "--b-range", "2:2")
     assert (code, json.loads(err)["message"]) == (3, "sweep grid has 6 points, over the budget of 5")
-    with pytest.raises(DomainError, match="^transform at k=5, d=7 sums 6 terms, over the budget of 5$"):
-        beta(PolynomialSequence([1, 1]), 5, 7)
+    with pytest.raises(DomainError, match="^transform at k=5, d=5 sums 6 terms, over the budget of 5$"):
+        beta(PolynomialSequence([1, 1]), 5, 5)
 
 
 def test_realize_round_trip(capsys, tmp_path):
@@ -182,6 +182,16 @@ def test_realize_round_trip(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "sdepth", "--poset", str(poset_path))
     assert code == 0
     assert json.loads(out)["sdepth"] == 3
+
+
+def test_a_poset_listing_a_set_twice_exits_2(capsys):
+    # folded into one member, the family [[1], [1]] read as valid under [{1}, {1}]
+    for argv in (["verify-partition", "--poset", '{"n":2,"sets":[[1],[1]]}', "--partition",
+                  '{"intervals":[{"C":[1],"D":[1]}]}'],
+                 ["sdepth", "--poset", '{"n":2,"sets":[[1],[2],[1]]}']):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"code": "schema", "message": "invalid poset: set (1,) is listed twice"}
 
 
 def test_verify_partition_reports_defect(capsys):
@@ -348,7 +358,7 @@ def test_beta_table_over_budget_exits_3(capsys):
 
 
 def test_qdepth_search_past_the_span_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(sequences, "ENTRY_SPAN", 10)
+    monkeypatch.setattr(sequences, "ENTRY_BUDGET", 66)  # entry span 10
     seq = '{"kind":"geometric","scale":1,"ratio":1000000}'
     code, out, err = run_cli(capsys, "qdepth", "--seq", seq)
     assert (code, out) == (3, "")

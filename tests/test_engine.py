@@ -112,7 +112,7 @@ def test_qdepth_at_least_examples():
 
 
 def test_qdepth_at_least_scans_only_the_search_span(monkeypatch):
-    monkeypatch.setattr(sequences, "ENTRY_SPAN", 10)
+    monkeypatch.setattr(sequences, "ENTRY_BUDGET", 66)  # entry span 10
     with pytest.raises(DomainError, match="^candidate depth 11 lies more than 10 above the support start 0$"):
         qdepth_at_least(GeometricSequence(1, 11), 11)
     assert qdepth_at_least(GeometricSequence(1, 11), 10).ok
@@ -219,8 +219,8 @@ def test_every_row_consumer_reads_the_one_entry_span(monkeypatch, what, h, consu
         consume(h, k0 + 1999)
     with pytest.raises(DomainError, match=f"^{what.format(k0 - 1)} lies below the support start {k0}$"):
         consume(h, k0 - 1)
-    # patching the one bound moves every refusal, and D = span + 1 reads no value
-    monkeypatch.setattr(sequences, "ENTRY_SPAN", 5)
+    # a smaller budget moves every refusal, and D = span + 1 reads no value
+    monkeypatch.setattr(sequences, "ENTRY_BUDGET", 21)  # entry span 5
     consume(h, k0 + 5)
     for owner in (sequences.Sequence, type(h)):
         for name in {"value_at", "iter_values"} & set(vars(owner)):
@@ -409,7 +409,7 @@ def test_result_value_semantics_do_not_force_rejections(row_counter):
 
 
 def test_search_span_is_the_largest_within_the_entry_budget():
-    span, budget = sequences.ENTRY_SPAN, sequences.ENTRY_BUDGET
+    span, budget = sequences.entry_span(), sequences.ENTRY_BUDGET
     assert span == 1998
     assert (span + 1) * (span + 2) // 2 <= budget < (span + 2) * (span + 3) // 2
 
@@ -419,12 +419,12 @@ def test_search_builds_at_most_span_plus_one_rows(row_counter):
     h = FiniteSequence(0, [math.comb(3000, k) for k in range(3001)])
     with pytest.raises(DomainError, match="no negative row up to d=1998, and the bound d=3000"):
         qdepth(h)
-    assert row_counter == {"calls": 1, "rows": sequences.ENTRY_SPAN + 1}
+    assert row_counter == {"calls": 1, "rows": sequences.entry_span() + 1}
 
 
 def test_search_span_caps_only_unresolved_searches(monkeypatch, row_counter, geometric_rows):
-    # sequences.ENTRY_SPAN alone moves top and both refusals, each naming the span it read
-    monkeypatch.setattr(sequences, "ENTRY_SPAN", 10)
+    # sequences.ENTRY_BUDGET alone, through entry_span(), moves top and both refusals, each naming the span it read
+    monkeypatch.setattr(sequences, "ENTRY_BUDGET", 66)  # entry span 10
     for shift in (-2, 0, 3):
         assert qdepth_value(GeometricSequence(1, 10, shift)) == 10 - shift
         geometric_rows.clear()
@@ -480,10 +480,10 @@ def test_geometric_bound_past_the_span_is_refused_without_a_row(geometric_rows):
 
 def test_geometric_row_past_the_span_is_refused_before_it_is_built():
     h = GeometricSequence(1, 1, 3)  # k0 = -3
-    assert len(h.row(-3 + sequences.ENTRY_SPAN)) == sequences.ENTRY_SPAN + 1
+    assert len(h.row(-3 + sequences.entry_span())) == sequences.entry_span() + 1
     start = time.perf_counter()
     with pytest.raises(DomainError, match="row at d=1996 lies more than 1998 above the support start -3"):
-        h.row(-3 + sequences.ENTRY_SPAN + 1)
+        h.row(-3 + sequences.entry_span() + 1)
     with pytest.raises(DomainError, match="row at d=100000 lies more than 1998"):
         h.row(10**5)
     assert time.perf_counter() - start < 0.01

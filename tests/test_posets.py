@@ -15,6 +15,7 @@ from helpers import (
     oracle_qdepth,
     oracle_sdepth_search,
     plain_sdepth,
+    random_finite,
 )
 from qdepth import (
     DomainError,
@@ -103,6 +104,15 @@ def test_poset_validation():
         Poset(2, frozenset({8}))
     with pytest.raises(DomainError):
         Poset.from_iterables(2, [[3]])
+
+
+def test_a_set_listed_twice_is_refused_not_folded():
+    assert len(Poset.from_iterables(2, [[1], [2], [1, 2]])) == 3
+    for sets, named in (([[1], [1]], "(1,)"), ([[2, 1], [2], [1, 2]], "(1, 2)"), ([[1, 1], [1]], "(1,)")):
+        with pytest.raises(DomainError, match=f"^{re.escape(f'set {named} is listed twice')}$"):
+            Poset.from_iterables(2, sets)
+    with pytest.raises(SchemaError, match=r"^invalid poset: set \(1,\) is listed twice$"):
+        poset_from_json_dict({"n": 2, "sets": [[1], [2], [1]]})
 
 
 def _first_bad_mask_message(family, n: int) -> str:
@@ -798,8 +808,54 @@ def test_realize_tail_covers_window_only():
 
 
 def test_realize_respects_ground_cap():
-    with pytest.raises(DomainError):
-        realize(FiniteSequence(1, [1, 50]))
+    # b = (1, 61): 62 windows of two elements end at element 63; b = (1, 62) would reach element 64
+    result = realize(FiniteSequence(1, [1, 62]))
+    assert (result.ground_size, result.b, result.validation.ok) == (63, (1, 61), True)
+    with pytest.raises(DomainError, match="^realization needs 64 ground elements, beyond the 63 cap$"):
+        realize(FiniteSequence(1, [1, 63]))
+
+
+def _smallest_ground(counts: dict, start: int) -> int:
+    """The smallest n >= start with C(n, k) >= counts[k] on every level k."""
+    n = start
+    while any(binomial(n, k) < c for k, c in counts.items()):
+        n += 1
+    return n
+
+
+def test_realize_lays_windows_on_one_ground():
+    rng = random.Random(2001)  # the inputs of acceptance criterion 8
+    for _ in range(100):
+        result = realize(random_finite(rng, 6, 8, -4, 4))
+        d, b, counts = result.depth, result.b, result.poset.level_counts()
+        upper = {k: c for k, c in counts.items() if k > d}
+        windows = result.partition.intervals[:sum(b)]
+        assert [(c.bit_count(), t.bit_count()) for c, t in windows] == [
+            (j, d) for j in range(1, d + 1) for _ in range(b[j - 1])
+        ]
+        # the windows' span, or the smallest ground past the top level holding every level above d
+        assert result.ground_size == max(sum(b) + d - 1, _smallest_ground(upper, max(upper, default=0)))
+        # interval i's bottom holds element i + 1, and no later top holds it
+        for i, (c, _) in enumerate(windows):
+            assert c >> i & 1
+            assert not any(t >> i & 1 for _, t in windows[i + 1:])
+        lower = max(d, max(counts), _smallest_ground(counts, 0))
+        assert lower <= result.ground_size <= 2 * lower
+        # never more than the d * sum(b) elements of one block per interval, plus a pool for the upper levels
+        assert result.ground_size <= d * sum(b) + _smallest_ground(upper, max(upper, default=0))
+
+
+@pytest.mark.parametrize("h, ground", [
+    (PolynomialSequence([1, 3]), 17), (PolynomialSequence([1, 5]), 19), (GeometricSequence(1, 3), 30),
+], ids=["1+3j", "1+5j", "3^j"])
+def test_realize_fits_tails_a_block_per_interval_could_not(h, ground):
+    # one block of d elements per interval took 65, 64 and 108 elements, past the 63 cap
+    result = realize(h)
+    assert result.ground_size == ground
+    assert validate_partition(result.partition).ok
+    g = h.shifted(result.m)
+    assert result.poset.level_counts() == {j: g.value_at(j) for j in range(1, result.depth + 1)}
+    assert poset_qdepth(result.poset).qdepth == result.depth == qdepth_value(h) - result.m
 
 
 @pytest.mark.parametrize("values", [[1, 10**9], [1, 0, 10**9]], ids=["blocks", "singletons"])
@@ -829,14 +885,15 @@ def test_realize_refuses_a_family_over_the_budget_before_building_a_set():
 
 
 def test_realize_family_budget_admits_a_family_at_the_budget(monkeypatch):
+    # budget 8 leaves an entry span of 2, and budget 1 a span of 0: depth-1 inputs, one row each
     monkeypatch.setattr(sequences, "ENTRY_BUDGET", 8)
-    assert len(realize(FiniteSequence(1, [1, 3, 3, 1])).poset) == 8
+    assert len(realize(FiniteSequence(1, [8])).poset) == 8
     with pytest.raises(DomainError, match="^realization needs 9 family members, over the budget of 8$"):
-        realize(FiniteSequence(1, [1, 3, 3, 2]))
+        realize(FiniteSequence(1, [9]))
     # the ground check comes first, so its message stays
     monkeypatch.setattr(sequences, "ENTRY_BUDGET", 1)
-    with pytest.raises(DomainError, match="beyond the 63 cap"):
-        realize(FiniteSequence(1, [1, 10**9]))
+    with pytest.raises(DomainError, match="^realization needs 100 ground elements, beyond the 63 cap$"):
+        realize(FiniteSequence(1, [100]))
 
 
 def test_poset_json_round_trip():
