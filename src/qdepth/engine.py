@@ -12,9 +12,9 @@ from itertools import pairwise
 
 from . import sequences
 from .records import Record
-from .sequences import BetaTable, GeometricSequence, Sequence, beta_rows, beta_table, binomial
-from .sequences import _first_negative, _row_length
-from .sequences import beta  # unused here, but the benchmark's tracer rebinds engine.beta
+from .sequences import BetaTable, GeometricSequence, Sequence, beta_table, binomial
+from .sequences import _row_length
+from .sequences import beta, beta_rows  # unused here, but the benchmark's tracer rebinds both on engine
 
 
 class DepthCheck(Record):
@@ -67,8 +67,9 @@ def qdepth(h: Sequence) -> QDepthResult:
 
     The paper proves that a geometric tail's depth is its bound, so its
     answer is row `bound` (GeometricSequence.row), in O(bound - k0)
-    entries, with no witness.  Other kinds scan upward from k0 and stop at
-    the first row with a negative entry, in O((answer - k0)^2) entries: the
+    entries, with no witness.  Other kinds scan the list rows of
+    sequences._rows upward from k0 and stop at the first row with a
+    negative entry, in O((answer - k0)^2) entries: the
     answer is the row before it, kept with that row's DepthCheck as the
     witness, whose first negative entry rules out every larger candidate.
     The row at k0 is h(k0) alone, so the answer is never below k0.  The
@@ -81,17 +82,23 @@ def qdepth(h: Sequence) -> QDepthResult:
     top = min(ub, k0 + sequences.entry_span())
     if isinstance(h, GeometricSequence):
         if top == ub:
-            return QDepthResult(ub, BetaTable(ub, dict(zip(range(k0, ub + 1), h.row(ub))), None), ub, None)
+            return QDepthResult(ub, _table(k0, h.row(ub)), ub, None)
     else:
-        for d, row in beta_rows(h, top):
-            if min(row.values()) < 0:
-                k = _first_negative(row)
-                return QDepthResult(d - 1, BetaTable(d - 1, accepted, None), ub, DepthCheck(d, False, k, row[k]))
+        for d, row in sequences._rows(h, top):
+            if min(row) < 0:
+                i = next(i for i, v in enumerate(row) if v < 0)
+                return QDepthResult(d - 1, _table(k0, accepted), ub, DepthCheck(d, False, k0 + i, row[i]))
             accepted = row
         if top == ub:
-            return QDepthResult(ub, BetaTable(ub, accepted, None), ub, None)
+            return QDepthResult(ub, _table(k0, accepted), ub, None)
     # top < ub, and no row up to top was negative (a geometric tail built none): this raises
     _row_length(h, ub, f"no negative row up to d={top}, and the bound d={{}}")
+
+
+def _table(k0: int, row: list[int]) -> BetaTable:
+    """The non-negative row d = k0 + len(row) - 1, as a table keyed by k."""
+    d = k0 + len(row) - 1
+    return BetaTable(d, dict(zip(range(k0, d + 1), row)), None)
 
 
 def qdepth_value(h: Sequence) -> int:

@@ -24,23 +24,26 @@ MAX_GROUND_SIZE = 63
 
 
 def mask_from_elements(elements: Iterable[int], n: int) -> int:
+    """The mask of one element set; an element outside [1, n] or listed twice is refused."""
     mask = 0
     for e in elements:
         if not 1 <= _int(e, "element") <= n:
             raise DomainError(f"element {e!r} is outside the ground set [1, {n}]")
-        mask |= 1 << (e - 1)
+        bit = 1 << (e - 1)
+        if mask & bit:
+            raise DomainError(f"element {e} is listed twice in one set")
+        mask |= bit
     return mask
 
 
 def elements_from_mask(mask: int) -> tuple[int, ...]:
+    """The elements of a mask in increasing order, one step per set bit."""
     _int(mask, "set mask", 0)
     out = []
-    i = 1
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
     return tuple(out)
 
 
@@ -164,12 +167,16 @@ def validate_partition(partition: IntervalPartition) -> ValidationReport:
 
     Clauses, in order: each bottom lies under its top, every interval stays
     inside the family, intervals are pairwise disjoint, and every family
-    member is covered.  The last three are decided on one unordered stream
-    of members, by a subset test and by comparing the member count, the
-    distinct count and the family size.  A one-set interval [c, c] gives c,
-    a wider one at most len(family) + 1 members, by when one lies outside
-    the family.  Intervals holding more than max(len(family), ENTRY_BUDGET)
-    such members raise DomainError before any is read.  A failed clause is
+    member is covered.  The last three are decided on the unordered
+    members, by a subset test and by comparing the member count, the
+    distinct count and the family size.  When the intervals hold at most
+    len(family) members they are read once into one set, which the subset
+    test and both counts share, so a valid partition reads each member
+    once; more are streamed through the subset test alone, since then some
+    member is held twice.  A one-set interval [c, c] gives c, a wider one
+    at most len(family) + 1 members, by when one lies outside the family.
+    Intervals holding more than max(len(family), ENTRY_BUDGET) such
+    members raise DomainError before any is read.  A failed clause is
     walked again, in index order, to name its first offender.
     """
     target = partition.target
@@ -198,11 +205,12 @@ def validate_partition(partition: IntervalPartition) -> ValidationReport:
     def members() -> Iterable[int]:  # every interval's, unordered
         return chain(singles, chain.from_iterable(starmap(members_of, wide)))
 
-    if not family.issuperset(members()):
+    small = total <= len(family)  # else some member is held twice, and the members are streamed
+    covered = set(members()) if small else ()
+    if not family.issuperset(covered if small else members()):
         c, d, m = next((c, d, m) for c, d in intervals for m in members_of(c, d) if m not in family)
         reason = f"interval [{_fmt(c)},{_fmt(d)}] contains {_fmt(m)}, which is not in the family"
         return ValidationReport(False, None, reason)
-    covered = set(members()) if total <= len(family) else ()  # else some member is held twice
     if len(covered) < total:
         # the first interval holding a member held twice, and the first later one it meets
         twice = {m for m, k in Counter(members()).items() if k > 1}
@@ -440,7 +448,7 @@ def realize(h: Sequence) -> RealizationResult:
     bits = [1 << e for e in range(ground_size)]
     intervals += [(s, s) for k, c in upper.items() for s in map(sum, islice(combinations(bits, k), c))]
     poset = Poset(ground_size, frozenset(chain.from_iterable(starmap(interval_members, intervals))))
-    partition = IntervalPartition(poset, intervals)
+    partition = IntervalPartition._checked(target=poset, intervals=tuple(intervals))  # int pairs built here
     report = validate_partition(partition)
 
     if not report.ok:

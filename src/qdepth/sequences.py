@@ -5,8 +5,10 @@ integers that vanishes far to the left and is not identically zero.  Three
 representations are supported: finitely supported value lists, polynomial
 tails and geometric tails.  Tails are evaluated lazily, so transform values
 are exact with finite work even though the support is infinite.
-beta_rows builds transform rows k0..d by the first-difference recurrence; a
-tail's row() reads row d from its generating function (one shared kernel).
+beta_rows builds transform rows k0..d by the first-difference recurrence as
+dicts, for tables; _rows builds the same rows as lists, each in C, for the
+depth scan.  A tail's row() reads row d from its generating function (one
+shared kernel).
 
 All arithmetic is on Python ints, so nothing overflows.
 """
@@ -15,7 +17,7 @@ import math
 import sys
 from collections.abc import Iterator
 from itertools import accumulate, chain, repeat
-from operator import mul
+from operator import mul, sub
 
 from .errors import DomainError, SchemaError
 from .records import Record
@@ -367,6 +369,26 @@ def beta_rows(h: Sequence, up_to: int) -> Iterator[tuple[int, dict]]:
             nxt[k] = row[k] - row[k - 1]
         nxt[d] = v - row[d - 1]
         row = nxt
+        yield d, row
+
+
+def _rows(h: Sequence, up_to: int) -> Iterator[tuple[int, list[int]]]:
+    """Yield (d, row) for every d from k0 to up_to, row[i] the transform value at k = k0 + i.
+
+    beta_rows's recurrence on lists: each row is built in C from the
+    previous one, [h(k0), row[1] - row[0], ..., h(d) - row[-1]].  It
+    refuses up_to at the first next() and reads h.iter_values(up_to)
+    lazily, as beta_rows does, so a scan stopped after row d has read no
+    value past h(d).
+    """
+    n = _row_length(h, up_to, "table at d={}")
+    k0 = up_to - n + 1
+    values = h.iter_values(up_to)
+    h0 = next(values)
+    row = [h0]
+    yield k0, row
+    for d, v in zip(range(k0 + 1, up_to + 1), values):
+        row = [h0, *map(sub, row[1:], row), v - row[-1]]
         yield d, row
 
 

@@ -12,7 +12,7 @@ from golden_cli import FAMILY, PARTITION, UNCOVERED
 from qdepth import (
     DomainError, FiniteSequence, IntervalPartition, PolynomialSequence, Poset, beta, realize, validate_partition,
 )
-from qdepth import cli, engine, sequences
+from qdepth import cli, sequences
 from qdepth.cli import main
 
 WORKED_SEQ = '{"kind":"finite","offset":-2,"values":[2,4,7,3,1]}'
@@ -194,6 +194,21 @@ def test_a_poset_listing_a_set_twice_exits_2(capsys):
         assert json.loads(err) == {"code": "schema", "message": "invalid poset: set (1,) is listed twice"}
 
 
+def test_an_element_listed_twice_in_one_set_exits_2(capsys):
+    # folded into {1}, [[1,1],[2]] under [{1},{1}] and [{2},{2,2}] read as a valid partition of depth 1
+    poset, partition = '{"n":2,"sets":[[1],[2]]}', '{"intervals":[{"C":[1],"D":[1]},{"C":[2],"D":[2]}]}'
+    for argv, message in (
+        (["verify-partition", "--poset", '{"n":2,"sets":[[1,1],[2]]}', "--partition", partition],
+         "invalid poset: element 1 is listed twice in one set"),
+        (["sdepth", "--poset", '{"n":2,"sets":[[1,1],[2]]}'], "invalid poset: element 1 is listed twice in one set"),
+        (["verify-partition", "--poset", poset, "--partition", '{"intervals":[{"C":[1],"D":[1]},{"C":[2],"D":[2,2]}]}'],
+         "invalid partition: element 2 is listed twice in one set"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"code": "schema", "message": message}
+
+
 def test_verify_partition_reports_defect(capsys):
     poset = '{"n":2,"sets":[[1],[2]]}'
     partition = '{"intervals":[{"C":[1],"D":[1]}]}'
@@ -314,8 +329,8 @@ def test_qdepth_certificate_over_budget_exits_0(capsys):
 @pytest.mark.parametrize("fmt", ["json", "table"])
 def test_qdepth_certifies_with_the_stopping_row_alone(capsys, monkeypatch, fmt):
     scans = []
-    rows = engine.beta_rows
-    monkeypatch.setattr(engine, "beta_rows", lambda h, up_to: scans.append(up_to) or rows(h, up_to))
+    rows = sequences._rows
+    monkeypatch.setattr(sequences, "_rows", lambda h, up_to: scans.append(up_to) or rows(h, up_to))
     code, out, err = run_cli(capsys, "qdepth", "--seq", '{"kind":"polynomial","coeffs":[1,0,0,15]}', "--format", fmt)
     assert (code, err, len(scans)) == (0, "", 1)
     if fmt == "json":

@@ -29,6 +29,7 @@ from qdepth import (
     sufficient_condition_holds,
 )
 from qdepth import engine, sequences
+from qdepth.sequences import _rows
 
 WORKED = FiniteSequence(-2, [2, 4, 7, 3, 1])
 
@@ -198,6 +199,7 @@ def test_side_conditions_refuse_a_candidate_past_the_entry_span_before_reading_a
 
 ROW_CONSUMERS = {
     "beta_rows": ("table at d={}", WORKED, lambda h, d: next(beta_rows(h, d))),
+    "_rows": ("table at d={}", WORKED, lambda h, d: next(_rows(h, d))),
     "beta_table": ("table at d={}", PolynomialSequence([1, 4], 3), beta_table),
     "PolynomialSequence.row": ("row at d={}", PolynomialSequence([2, 0, 5], -2), PolynomialSequence.row),
     "GeometricSequence.row": ("row at d={}", GeometricSequence(2, 9, -1), GeometricSequence.row),
@@ -225,7 +227,7 @@ def test_every_row_consumer_reads_the_one_entry_span(monkeypatch, what, h, consu
     for owner in (sequences.Sequence, type(h)):
         for name in {"value_at", "iter_values"} & set(vars(owner)):
             monkeypatch.setattr(owner, name, refuse)
-    for owner, name in ((sequences, "beta_rows"), (sequences, "_tail_row"), (engine, "beta_table")):
+    for owner, name in ((sequences, "beta_rows"), (sequences, "_rows"), (sequences, "_tail_row"), (engine, "beta_table")):
         monkeypatch.setattr(owner, name, refuse)
     with pytest.raises(DomainError, match=f"^{what.format(k0 + 6)} lies more than 5 above the support start {k0}$"):
         consume(h, k0 + 6)
@@ -341,9 +343,9 @@ def test_diagonal_entry_positive_for_monomial_tails():
 
 @pytest.fixture
 def row_counter(monkeypatch):
-    """Counts the calls to engine.beta_rows and the rows they yield."""
+    """Counts the calls to sequences._rows, the depth scan, and the rows they yield."""
     counts = {"calls": 0, "rows": 0}
-    original = engine.beta_rows
+    original = sequences._rows
 
     def counting(h, up_to):
         counts["calls"] += 1
@@ -351,7 +353,7 @@ def row_counter(monkeypatch):
             counts["rows"] += 1
             yield item
 
-    monkeypatch.setattr(engine, "beta_rows", counting)
+    monkeypatch.setattr(sequences, "_rows", counting)
     return counts
 
 
@@ -408,6 +410,16 @@ def test_result_value_semantics_do_not_force_rejections(row_counter):
     assert row_counter["calls"] == 3
 
 
+def test_full_boolean_lattice_levels_have_depth_n_with_row_n_a_unit():
+    # the level counts C(n, k) of all subsets of [n]: row n is sum_j (-1)^(k-j) C(n-j, k-j) C(n, j) = C(n, k) [k = 0]
+    n = 200
+    result = qdepth(FiniteSequence(0, [math.comb(n, k) for k in range(n + 1)]))
+    assert (result.qdepth, result.upper_bound_used, result.witness) == (n, n, None)
+    table = result.accepted_table
+    assert (table.d, table.first_negative) == (n, None)
+    assert list(table.entries.items()) == [(0, 1)] + [(k, 0) for k in range(1, n + 1)]
+
+
 def test_search_span_is_the_largest_within_the_entry_budget():
     span, budget = sequences.entry_span(), sequences.ENTRY_BUDGET
     assert span == 1998
@@ -445,7 +457,7 @@ def test_search_span_caps_only_unresolved_searches(monkeypatch, row_counter, geo
 
 def test_geometric_depth_is_its_bound_read_from_one_row(monkeypatch):
     # the paper proves that a * b^j has depth b, its a-priori bound: the engine reads that row alone, with no scan
-    monkeypatch.setattr(engine, "beta_rows", lambda h, up_to: pytest.fail("a geometric tail was scanned"))
+    monkeypatch.setattr(sequences, "_rows", lambda h, up_to: pytest.fail("a geometric tail was scanned"))
     rng = random.Random(30)
     for ratio in range(1, 301):
         for scale in (1, 2, 7):

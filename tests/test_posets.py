@@ -108,9 +108,12 @@ def test_poset_validation():
 
 def test_a_set_listed_twice_is_refused_not_folded():
     assert len(Poset.from_iterables(2, [[1], [2], [1, 2]])) == 3
-    for sets, named in (([[1], [1]], "(1,)"), ([[2, 1], [2], [1, 2]], "(1, 2)"), ([[1, 1], [1]], "(1,)")):
+    for sets, named in (([[1], [1]], "(1,)"), ([[2, 1], [2], [1, 2]], "(1, 2)")):
         with pytest.raises(DomainError, match=f"^{re.escape(f'set {named} is listed twice')}$"):
             Poset.from_iterables(2, sets)
+    # an element repeated inside one set is refused before the set meets the others
+    with pytest.raises(DomainError, match="^element 1 is listed twice in one set$"):
+        Poset.from_iterables(2, [[1, 1], [1]])
     with pytest.raises(SchemaError, match=r"^invalid poset: set \(1,\) is listed twice$"):
         poset_from_json_dict({"n": 2, "sets": [[1], [2], [1]]})
 
@@ -158,6 +161,35 @@ def test_poset_refuses_the_first_bad_mask_in_its_walk(bad):
 def test_interval_bounds_must_be_set_masks(bounds, message):
     with pytest.raises(DomainError, match=re.escape(f"set mask must be {message}")):
         IntervalPartition(Poset(3, frozenset({1, 3})), [bounds])
+
+
+def test_mask_from_elements_refuses_an_element_listed_twice():
+    assert mask_from_elements([3, 1], 3) == 0b101
+    for elements, e in (([1, 1], 1), ([2, 3, 2], 2), ([3, 1, 3, 1], 3)):
+        with pytest.raises(DomainError, match=f"^element {e} is listed twice in one set$"):
+            mask_from_elements(elements, 3)
+    with pytest.raises(SchemaError, match="^invalid partition: element 2 is listed twice in one set$"):
+        partition_from_json_dict({"intervals": [{"C": [2, 2], "D": [2]}]}, Poset.from_iterables(2, [[2]]))
+
+
+def _elements_bit_by_bit(mask: int) -> tuple[int, ...]:
+    """Every bit up to the highest set one, in turn: the walk the set-bit loop replaced."""
+    out, i = [], 1
+    while mask:
+        if mask & 1:
+            out.append(i)
+        mask >>= 1
+        i += 1
+    return tuple(out)
+
+
+def test_elements_from_mask_walks_only_the_set_bits():
+    rng = random.Random(61)
+    masks = [0, 1, 1 << 62, 1 << 60 | 5, (1 << 63) - 1, 1 << 200 | 1 << 3]
+    masks += [sum(1 << rng.randrange(64) for _ in range(rng.randint(0, 6))) for _ in range(300)]
+    for mask in masks:
+        assert elements_from_mask(mask) == _elements_bit_by_bit(mask)
+    assert elements_from_mask(1 << 60 | 5) == (1, 3, 61)
 
 
 def test_elements_from_mask_refuses_a_negative_mask():
@@ -432,6 +464,23 @@ def test_validate_partition_reads_at_most_one_more_member_than_the_family(monkey
     outside = ",".join(map(str, elements_from_mask(sixth)))
     assert report.reason == f"interval [{{1}},{{1,2,3,4,5,6,7,8,9,10,11,12}}] contains {{{outside}}}, which is not in the family"
     assert len(read) <= 2 * 6  # the subset test, then the scan naming the offender
+
+
+def test_validate_partition_reads_each_member_of_a_valid_partition_once(monkeypatch):
+    rng = random.Random(33)
+    real = posets.interval_members
+    read, wide_members = [], 0
+    monkeypatch.setattr(posets, "interval_members", lambda c, d: (read.append(m) or m for m in real(c, d)))
+    for _ in range(20):
+        family = rng.sample(range(1 << 7), rng.randint(1, 100))
+        intervals = _random_valid_partition(rng, family)
+        read.clear()
+        report = validate_partition(IntervalPartition(Poset(7, frozenset(family)), tuple(intervals)))
+        assert report.ok
+        # one-set intervals give their set without interval_members; every wider member is read once
+        assert sorted(read) == sorted(m for c, d in intervals if c != d for m in real(c, d))
+        wide_members += len(read)
+    assert wide_members > 100
 
 
 def test_validate_partition_refuses_over_budget_before_reading_a_member(monkeypatch):

@@ -37,6 +37,7 @@ from qdepth import (
     qdepth_value,
     sequence_from_json_dict,
 )
+from qdepth.sequences import _rows
 
 shifts = st.integers(-3, 3)
 finite = st.builds(
@@ -69,6 +70,17 @@ def test_acceptance_is_monotone_up_to_the_bound(h):
         if not check.ok:
             row = [(k, oracle_beta(values, k, d)) for k in range(k0, d + 1)]
             assert (check.witness_k, check.witness_beta) == next((k, b) for k, b in row if b < 0)
+
+
+@oracle_settings
+@given(st.one_of(finite, polynomial), st.integers(0, 12))
+def test_scan_rows_match_oracle(h, span):
+    k0 = h.stats().k0
+    values = values_dict(h, k0, k0 + span)
+    rows = list(_rows(h, k0 + span))
+    assert [d for d, _ in rows] == list(range(k0, k0 + span + 1))
+    for d, row in rows:
+        assert row == [oracle_beta(values, k, d) for k in range(k0, d + 1)]
 
 
 def _past_the_first_branch(n: int, b: int, extra: int) -> PolynomialSequence:

@@ -2,6 +2,7 @@
 
 import copy
 import enum
+import gc
 import math
 import pickle
 import random
@@ -39,6 +40,7 @@ from qdepth import (
     sufficient_condition_holds,
 )
 from qdepth import sequences
+from qdepth.sequences import _rows
 
 WORKED = FiniteSequence(-2, [2, 4, 7, 3, 1])
 
@@ -207,6 +209,7 @@ def test_beta_refuses_an_oversized_binomial_before_any_term(monkeypatch):
     spike = FiniteSequence(0, [1])
     real = sequences.binomial
     monkeypatch.setattr(sequences, "binomial", lambda m, t: pytest.fail("a binomial was built"))
+    gc.collect()  # a full collection owed by earlier tests took 35-55 ms inside the timed window
     start = time.perf_counter()
     with pytest.raises(DomainError, match="may need 2000000000000-bit binomials, over the limit of 21978"):
         beta(spike, 10**12, 2 * 10**12)
@@ -281,6 +284,7 @@ INDEX_ARGUMENTS = {
     "beta-k": ("k", lambda v: beta(SMALL, v, 2)),
     "beta-d": ("d", lambda v: beta(SMALL, 0, v)),
     "beta_rows": ("table at d=", lambda v: next(beta_rows(SMALL, v))),
+    "_rows": ("table at d=", lambda v: next(_rows(SMALL, v))),
     "beta_table": ("table at d=", lambda v: beta_table(SMALL, v)),
     "window": ("window end ", lambda v: SMALL.window(v)),
     "geometric-row": ("row at d=", lambda v: GeometricSequence(1, 2).row(v)),
@@ -500,6 +504,33 @@ def test_beta_rows_reads_no_value_past_the_row_where_it_stops(monkeypatch, h):
     got = [next(rows)[1] for _ in range(3)]
     assert read == [h.value_at(j) for j in range(k0, k0 + 3)]
     assert got[-1] == beta_table(h, k0 + 2).entries
+
+
+@pytest.mark.parametrize(
+    "h", [WORKED, PolynomialSequence([1, 4], 3), GeometricSequence(2, 9, -1)], ids=["finite", "polynomial", "geometric"]
+)
+def test_scan_rows_read_no_value_past_the_row_where_they_stop(monkeypatch, h):
+    read = []
+    real = type(h).iter_values
+    monkeypatch.setattr(type(h), "iter_values", lambda self, hi: (read.append(v) or v for v in real(self, hi)))
+    k0 = h.stats().k0
+    rows = _rows(h, k0 + 8)
+    assert read == []
+    got = [next(rows) for _ in range(3)]
+    assert read == [h.value_at(j) for j in range(k0, k0 + 3)]
+    assert [d for d, _ in got] == [k0, k0 + 1, k0 + 2]
+    assert got[-1][1] == list(beta_table(h, k0 + 2).entries.values())
+
+
+def test_scan_rows_refuse_at_first_next(monkeypatch):
+    rows = _rows(PolynomialSequence([1, 1]), 10**6)
+    with pytest.raises(DomainError, match="^table at d=1000000 lies more than 1998 above the support start 0$"):
+        next(rows)
+    monkeypatch.setattr(sequences, "ENTRY_BUDGET", 21)  # entry span 5
+    h = WORKED.shifted(-3)
+    assert [d for d, _ in _rows(h, 6)] == [1, 2, 3, 4, 5, 6]
+    with pytest.raises(DomainError, match="^table at d=7 lies more than 5 above the support start 1$"):
+        next(_rows(h, 7))
 
 
 def test_iter_values_reads_the_values_in_order():
