@@ -9,6 +9,7 @@ d+1 forces a non-negative row d.  qdepth states how the search uses this.
 """
 
 from itertools import pairwise
+from operator import sub
 
 from . import sequences
 from .records import Record
@@ -67,15 +68,18 @@ def qdepth(h: Sequence) -> QDepthResult:
 
     The paper proves that a geometric tail's depth is its bound, so its
     answer is row `bound` (GeometricSequence.row), in O(bound - k0)
-    entries, with no witness.  Other kinds scan the list rows of
-    sequences._rows upward from k0 and stop at the first row with a
-    negative entry, in O((answer - k0)^2) entries: the
-    answer is the row before it, kept with that row's DepthCheck as the
-    witness, whose first negative entry rules out every larger candidate.
-    The row at k0 is h(k0) alone, so the answer is never below k0.  The
-    scan stops at top = min(bound, k0 + sequences.entry_span()).  A bound
-    past that span is refused with DomainError: for a geometric tail before
-    any row is built, for other kinds when no row up to top is negative.
+    entries, with no witness.  Other kinds scan rows upward from k0 in one
+    loop over one lazy h.iter_values(top) stream: each row is a list built
+    in C from the one below it and the next value, [h(k0), row[1] - row[0],
+    ..., h(d) - row[-1]], so a scan stopped at row d reads no value past
+    h(d).  It stops at the first row with a negative entry, after
+    O((answer - k0)^2) entries: the answer is the row before it, kept with
+    that row's DepthCheck as the witness, whose first negative entry rules
+    out every larger candidate.  The row at k0 is h(k0) > 0 alone, so the
+    answer is never below k0.  The scan stops at top = min(bound, k0 +
+    sequences.entry_span()).  A bound past that span is refused with
+    DomainError: for a geometric tail before any row is built, for other
+    kinds when no row up to top is negative.
     """
     ub = depth_upper_bound(h)
     k0 = h.stats().k0
@@ -84,9 +88,13 @@ def qdepth(h: Sequence) -> QDepthResult:
         if top == ub:
             return QDepthResult(ub, _table(k0, h.row(ub)), ub, None)
     else:
-        for d, row in sequences._rows(h, top):
+        values = h.iter_values(top)
+        h0 = next(values)
+        accepted = [h0]
+        for d, v in enumerate(values, k0 + 1):
+            row = [h0, *map(sub, accepted[1:], accepted), v - accepted[-1]]
             if min(row) < 0:
-                i = next(i for i, v in enumerate(row) if v < 0)
+                i = next(i for i, b in enumerate(row) if b < 0)
                 return QDepthResult(d - 1, _table(k0, accepted), ub, DepthCheck(d, False, k0 + i, row[i]))
             accepted = row
         if top == ub:

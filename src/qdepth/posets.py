@@ -257,7 +257,7 @@ def sdepth_bruteforce(poset: Poset, cap: int = DEFAULT_BRUTEFORCE_CAP) -> Sdepth
     intervals needs no deeper recursion.
     """
     s = len(poset)
-    if s > _int(cap, "cap"):
+    if s > _int(cap, "cap", 0):
         raise DomainError(f"family has {s} members, exhaustive search is capped at {cap}")
     masks = poset.sorted_masks()
     sizes = list(map(int.bit_count, masks))

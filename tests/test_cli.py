@@ -259,6 +259,12 @@ def test_domain_error_exits_3(capsys):
     assert json.loads(err)["code"] == "domain"
 
 
+def test_negative_cap_exits_3(capsys):
+    code, out, err = run_cli(capsys, "sdepth", "--poset", '{"n":3,"sets":[[1]]}', "--cap", "-1")
+    assert (code, out) == (3, "")
+    assert json.loads(err)["message"] == "cap must be at least 0, got -1"
+
+
 def test_beta_table_below_support_is_domain_error(capsys):
     code, _, err = run_cli(capsys, "beta-table", "--seq", WORKED_SEQ, "--d", "-3")
     assert code == 3
@@ -327,12 +333,9 @@ def test_qdepth_certificate_over_budget_exits_0(capsys):
 
 
 @pytest.mark.parametrize("fmt", ["json", "table"])
-def test_qdepth_certifies_with_the_stopping_row_alone(capsys, monkeypatch, fmt):
-    scans = []
-    rows = sequences._rows
-    monkeypatch.setattr(sequences, "_rows", lambda h, up_to: scans.append(up_to) or rows(h, up_to))
+def test_qdepth_certifies_with_the_stopping_row_alone(capsys, row_counter, fmt):
     code, out, err = run_cli(capsys, "qdepth", "--seq", '{"kind":"polynomial","coeffs":[1,0,0,15]}', "--format", fmt)
-    assert (code, err, len(scans)) == (0, "", 1)
+    assert (code, err, row_counter["calls"]) == (0, "", 1)
     if fmt == "json":
         assert json.loads(out)["rejections"] == [{"d": 8, "k": 3, "beta": "-40"}]
     else:

@@ -29,7 +29,6 @@ from qdepth import (
     sufficient_condition_holds,
 )
 from qdepth import engine, sequences
-from qdepth.sequences import _rows
 
 WORKED = FiniteSequence(-2, [2, 4, 7, 3, 1])
 
@@ -199,7 +198,6 @@ def test_side_conditions_refuse_a_candidate_past_the_entry_span_before_reading_a
 
 ROW_CONSUMERS = {
     "beta_rows": ("table at d={}", WORKED, lambda h, d: next(beta_rows(h, d))),
-    "_rows": ("table at d={}", WORKED, lambda h, d: next(_rows(h, d))),
     "beta_table": ("table at d={}", PolynomialSequence([1, 4], 3), beta_table),
     "PolynomialSequence.row": ("row at d={}", PolynomialSequence([2, 0, 5], -2), PolynomialSequence.row),
     "GeometricSequence.row": ("row at d={}", GeometricSequence(2, 9, -1), GeometricSequence.row),
@@ -227,7 +225,7 @@ def test_every_row_consumer_reads_the_one_entry_span(monkeypatch, what, h, consu
     for owner in (sequences.Sequence, type(h)):
         for name in {"value_at", "iter_values"} & set(vars(owner)):
             monkeypatch.setattr(owner, name, refuse)
-    for owner, name in ((sequences, "beta_rows"), (sequences, "_rows"), (sequences, "_tail_row"), (engine, "beta_table")):
+    for owner, name in ((sequences, "beta_rows"), (sequences, "_tail_row"), (engine, "beta_table")):
         monkeypatch.setattr(owner, name, refuse)
     with pytest.raises(DomainError, match=f"^{what.format(k0 + 6)} lies more than 5 above the support start {k0}$"):
         consume(h, k0 + 6)
@@ -342,22 +340,6 @@ def test_diagonal_entry_positive_for_monomial_tails():
 
 
 @pytest.fixture
-def row_counter(monkeypatch):
-    """Counts the calls to sequences._rows, the depth scan, and the rows they yield."""
-    counts = {"calls": 0, "rows": 0}
-    original = sequences._rows
-
-    def counting(h, up_to):
-        counts["calls"] += 1
-        for item in original(h, up_to):
-            counts["rows"] += 1
-            yield item
-
-    monkeypatch.setattr(sequences, "_rows", counting)
-    return counts
-
-
-@pytest.fixture
 def geometric_rows(monkeypatch):
     """The d of every call to GeometricSequence.row, in order."""
     calls = []
@@ -457,7 +439,7 @@ def test_search_span_caps_only_unresolved_searches(monkeypatch, row_counter, geo
 
 def test_geometric_depth_is_its_bound_read_from_one_row(monkeypatch):
     # the paper proves that a * b^j has depth b, its a-priori bound: the engine reads that row alone, with no scan
-    monkeypatch.setattr(sequences, "_rows", lambda h, up_to: pytest.fail("a geometric tail was scanned"))
+    monkeypatch.setattr(GeometricSequence, "iter_values", lambda self, hi: pytest.fail("a geometric tail was scanned"))
     rng = random.Random(30)
     for ratio in range(1, 301):
         for scale in (1, 2, 7):

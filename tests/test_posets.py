@@ -551,6 +551,11 @@ def test_sdepth_bruteforce_respects_cap():
         sdepth_bruteforce(poset, cap=10)
 
 
+def test_sdepth_bruteforce_refuses_a_negative_cap():
+    with pytest.raises(DomainError, match="^cap must be at least 0, got -1$"):
+        sdepth_bruteforce(Poset.from_iterables(3, [[1]]), cap=-1)
+
+
 def test_sdepth_bruteforce_checks_cap_before_sorting(monkeypatch):
     poset = Poset(20, frozenset(range(1 << 20)))
 

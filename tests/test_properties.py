@@ -37,7 +37,6 @@ from qdepth import (
     qdepth_value,
     sequence_from_json_dict,
 )
-from qdepth.sequences import _rows
 
 shifts = st.integers(-3, 3)
 finite = st.builds(
@@ -73,14 +72,13 @@ def test_acceptance_is_monotone_up_to_the_bound(h):
 
 
 @oracle_settings
-@given(st.one_of(finite, polynomial), st.integers(0, 12))
-def test_scan_rows_match_oracle(h, span):
-    k0 = h.stats().k0
-    values = values_dict(h, k0, k0 + span)
-    rows = list(_rows(h, k0 + span))
-    assert [d for d, _ in rows] == list(range(k0, k0 + span + 1))
-    for d, row in rows:
-        assert row == [oracle_beta(values, k, d) for k in range(k0, d + 1)]
+@given(st.one_of(finite, polynomial))
+def test_accepted_table_matches_oracle(h):
+    result = qdepth(h)
+    q, k0, table = result.qdepth, h.stats().k0, result.accepted_table
+    values = values_dict(h, k0, q)
+    assert (table.d, table.first_negative) == (q, None)
+    assert table.entries == {k: oracle_beta(values, k, q) for k in range(k0, q + 1)}
 
 
 def _past_the_first_branch(n: int, b: int, extra: int) -> PolynomialSequence:

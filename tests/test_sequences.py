@@ -34,13 +34,13 @@ from qdepth import (
     beta_table,
     binomial,
     necessary_condition_holds,
+    qdepth,
     qdepth_at_least,
     sdepth_bruteforce,
     sequence_from_json_dict,
     sufficient_condition_holds,
 )
 from qdepth import sequences
-from qdepth.sequences import _rows
 
 WORKED = FiniteSequence(-2, [2, 4, 7, 3, 1])
 
@@ -284,7 +284,6 @@ INDEX_ARGUMENTS = {
     "beta-k": ("k", lambda v: beta(SMALL, v, 2)),
     "beta-d": ("d", lambda v: beta(SMALL, 0, v)),
     "beta_rows": ("table at d=", lambda v: next(beta_rows(SMALL, v))),
-    "_rows": ("table at d=", lambda v: next(_rows(SMALL, v))),
     "beta_table": ("table at d=", lambda v: beta_table(SMALL, v)),
     "window": ("window end ", lambda v: SMALL.window(v)),
     "geometric-row": ("row at d=", lambda v: GeometricSequence(1, 2).row(v)),
@@ -507,30 +506,23 @@ def test_beta_rows_reads_no_value_past_the_row_where_it_stops(monkeypatch, h):
 
 
 @pytest.mark.parametrize(
-    "h", [WORKED, PolynomialSequence([1, 4], 3), GeometricSequence(2, 9, -1)], ids=["finite", "polynomial", "geometric"]
+    "h",
+    [FiniteSequence(0, [1, 5, 1, 9, 9, 9]), PolynomialSequence([1, 10**6], 3), GeometricSequence(2, 9, -1)],
+    ids=["finite", "polynomial", "geometric"],
 )
 def test_scan_rows_read_no_value_past_the_row_where_they_stop(monkeypatch, h):
+    # qdepth scans a finite or polynomial h up to its first negative row, below the bound; a geometric tail reads none
     read = []
     real = type(h).iter_values
     monkeypatch.setattr(type(h), "iter_values", lambda self, hi: (read.append(v) or v for v in real(self, hi)))
+    result = qdepth(h)
     k0 = h.stats().k0
-    rows = _rows(h, k0 + 8)
-    assert read == []
-    got = [next(rows) for _ in range(3)]
-    assert read == [h.value_at(j) for j in range(k0, k0 + 3)]
-    assert [d for d, _ in got] == [k0, k0 + 1, k0 + 2]
-    assert got[-1][1] == list(beta_table(h, k0 + 2).entries.values())
-
-
-def test_scan_rows_refuse_at_first_next(monkeypatch):
-    rows = _rows(PolynomialSequence([1, 1]), 10**6)
-    with pytest.raises(DomainError, match="^table at d=1000000 lies more than 1998 above the support start 0$"):
-        next(rows)
-    monkeypatch.setattr(sequences, "ENTRY_BUDGET", 21)  # entry span 5
-    h = WORKED.shifted(-3)
-    assert [d for d, _ in _rows(h, 6)] == [1, 2, 3, 4, 5, 6]
-    with pytest.raises(DomainError, match="^table at d=7 lies more than 5 above the support start 1$"):
-        next(_rows(h, 7))
+    if isinstance(h, GeometricSequence):
+        assert (read, result.witness) == ([], None)
+    else:
+        assert result.witness.d < result.upper_bound_used
+        assert read == [h.value_at(j) for j in range(k0, result.witness.d + 1)]
+    assert result.accepted_table == beta_table(h, result.qdepth)
 
 
 def test_iter_values_reads_the_values_in_order():
